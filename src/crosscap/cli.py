@@ -7,8 +7,8 @@ classify (symmetry verdicts only).
 
 Requests live in a JSON file (--map); command line flags override its
 fields.  Reports are byte-stable: fixed field order and fixed float
-formatting with 17 significant digits.  Exit codes: 0 success, 1 input
-error, 2 no result.
+formatting with 17 significant digits.  Exit codes: 0 success, 1 for an
+E_PARSE error, 2 for every other failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .double_points import (
     curve_to_csv,
+    format_float,
     trace_double_points,
     transversality_check,
 )
@@ -32,11 +33,13 @@ from .errors import (
     CrossCapError,
     DegenerateFrameError,
     JetDomainError,
+    NotCrossCapError,
     NotInvertibleError,
     NotSingularPointError,
     ParseError,
     RankZeroError,
     SeedFailureError,
+    SingularPointError,
     SolveInconsistentError,
     StepCollapseError,
     SymmetryAbsentError,
@@ -44,59 +47,57 @@ from .errors import (
     WhitneyFailError,
 )
 from .expressions import eval_map_point, parse_map_definition
-from .locate import align_kernel, find_singular_points
+from .locate import DEFAULT_TOL_SINGULAR, align_kernel, find_singular_points
 from .normal_form import (
+    DEFAULT_ORDER,
     MAX_ORDER,
     CongruenceMotion,
     characteristic_invariants,
     reduce_to_normal_form,
     transport_normal_form,
 )
-from .symmetry import classify_symmetries
+from .symmetry import DEFAULT_TOL_SYMMETRY, classify_symmetries
 
 TANGENCY_ANGLE = 1e-3
 
 _DEFAULTS = {
-    "order": 6,
+    "order": DEFAULT_ORDER,
     "grid": 20,
     "box": [-1.0, 1.0, -1.0, 1.0],
-    "tol_singular": 1e-9,
-    "tol_symmetry": 1e-8,
+    "tol_singular": DEFAULT_TOL_SINGULAR,
+    "tol_symmetry": DEFAULT_TOL_SYMMETRY,
     "span": 1.0,
     "step": 0.01,
 }
 
 
 class _InputError(Exception):
-    """Invalid request or flags; maps to E_PARSE and exit code 1."""
+    """Invalid request or flags."""
 
 
-def _error_code(exc: Exception) -> str:
-    if isinstance(exc, (ParseError, UnboundParameterError, JetDomainError)):
-        return "E_PARSE"
-    if isinstance(exc, (NotSingularPointError, RankZeroError)):
-        return "E_NOT_CROSSCAP"
-    if isinstance(exc, WhitneyFailError):
-        return "E_WHITNEY"
-    if isinstance(
-        exc, (SolveInconsistentError, NotInvertibleError, DegenerateFrameError)
-    ):
-        return "E_SOLVE"
-    if isinstance(exc, (SeedFailureError, StepCollapseError)):
-        return "E_SEED"
-    return "E_PARSE"
+# Keyed by exact type with no fallback: a new error class needs its own
+# entry.  E_PARSE exits 1 and every other code exits 2.
+_ERROR_CODES = {
+    _InputError: "E_PARSE",
+    ContractViolationError: "E_PARSE",
+    JetDomainError: "E_PARSE",
+    ParseError: "E_PARSE",
+    UnboundParameterError: "E_PARSE",
+    NotCrossCapError: "E_NOT_CROSSCAP",
+    NotSingularPointError: "E_NOT_CROSSCAP",
+    RankZeroError: "E_NOT_CROSSCAP",
+    WhitneyFailError: "E_WHITNEY",
+    DegenerateFrameError: "E_SOLVE",
+    NotInvertibleError: "E_SOLVE",
+    SolveInconsistentError: "E_SOLVE",
+    SymmetryAbsentError: "E_SOLVE",
+    SeedFailureError: "E_SEED",
+    SingularPointError: "E_SEED",
+    StepCollapseError: "E_SEED",
+}
 
 
 # -- stable serialization ------------------------------------------------------
-
-
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not np.isfinite(x):
-        raise ContractViolationError("report fields must be finite")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
 
 
 def _serialize(value, indent: int = 0) -> str:
@@ -122,7 +123,7 @@ def _serialize(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
+        return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -137,9 +138,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_error(code: str, message: str, out: str | None) -> None:
+def _emit_error(code: str, message: str) -> None:
     payload = _serialize({"error": {"code": code, "message": message}}) + "\n"
-    _emit(payload, out)
+    _emit(payload, None)
     print(f"error [{code}]: {message}", file=sys.stderr)
 
 
@@ -380,7 +381,7 @@ def _analyze_entry(defn, request, combo, trim: str | None = None, motion=None) -
         except CrossCapError as exc:
             warnings.append(
                 {
-                    "code": _error_code(exc),
+                    "code": _ERROR_CODES[type(exc)],
                     "message": f"point ({point[0]:.6g}, {point[1]:.6g}): {exc}",
                 }
             )
@@ -420,30 +421,12 @@ def _analyze_entry(defn, request, combo, trim: str | None = None, motion=None) -
     }
 
 
-def _request_echo(request: dict) -> dict:
-    return {
-        "components": request["components"],
-        "parameters": request["parameters"],
-        "order": request["order"],
-        "point": request["point"],
-        "box": request["box"],
-        "grid": request["grid"],
-        "tolerances": {
-            "singular": request["tolerances"]["singular"],
-            "symmetry": request["tolerances"]["symmetry"],
-        },
-        "outputs": request["outputs"],
-        "span": request["span"],
-        "step": request["step"],
-    }
-
-
 def _run_report_command(args, trim: str | None = None) -> int:
     request = _load_request(args)
     motion = None
     if trim == "transport":
         motion = CongruenceMotion.from_tag(args.motion)
-    defn = parse_map_definition(request["components"], {}, request["order"])
+    defn = parse_map_definition(request["components"])
     entries = []
     certified = 0
     for combo in _sweep_combinations(request["parameters"]):
@@ -452,7 +435,7 @@ def _run_report_command(args, trim: str | None = None) -> int:
         entries.append(entry)
     report = {
         "version": __version__,
-        "request": _request_echo(request),
+        "request": request,
         "entries": entries,
     }
     _emit(_serialize(report) + "\n", args.out)
@@ -473,27 +456,21 @@ def cmd_transport(args) -> int:
 
 def cmd_selfint(args) -> int:
     request = _load_request(args)
-    defn = parse_map_definition(request["components"], {}, request["order"])
+    defn = parse_map_definition(request["components"])
     combo = _require_scalar_parameters(request, "selfint")
     points, seed_warnings = _candidate_points(defn, request, combo)
     if not points:
         message = seed_warnings[0]["message"] if seed_warnings else "no seed"
-        _emit_error("E_SEED", message, None)
+        _emit_error("E_SEED", message)
         return 2
-    try:
-        cert = align_kernel(
-            defn,
-            points[0],
-            request["order"],
-            request["tolerances"]["singular"],
-            combo,
-        )
-        curve = trace_double_points(
-            defn, cert, request["span"], request["step"], combo
-        )
-    except CrossCapError as exc:
-        _emit_error(_error_code(exc), str(exc), None)
-        return 2
+    cert = align_kernel(
+        defn,
+        points[0],
+        request["order"],
+        request["tolerances"]["singular"],
+        combo,
+    )
+    curve = trace_double_points(defn, cert, request["span"], request["step"], combo)
     angles = transversality_check(defn, curve, combo)
     if angles.size and float(angles.min()) < TANGENCY_ANGLE:
         print(
@@ -506,7 +483,7 @@ def cmd_selfint(args) -> int:
 
 def cmd_mesh(args) -> int:
     request = _load_request(args)
-    defn = parse_map_definition(request["components"], {}, request["order"])
+    defn = parse_map_definition(request["components"])
     combo = _require_scalar_parameters(request, "mesh")
     umin, umax, vmin, vmax = request["box"]
     grid = request["grid"]
@@ -515,7 +492,7 @@ def cmd_mesh(args) -> int:
         for v in np.linspace(vmin, vmax, grid):
             image = eval_map_point(defn, float(u), float(v), combo)
             fields = (float(u), float(v), image[0], image[1], image[2])
-            lines.append(",".join(_fmt_float(x) for x in fields))
+            lines.append(",".join(format_float(x) for x in fields))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -583,18 +560,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _InputError as exc:
-        _emit_error("E_PARSE", str(exc), None)
-        return 1
-    except (ParseError, UnboundParameterError, JetDomainError) as exc:
-        _emit_error("E_PARSE", str(exc), None)
-        return 1
-    except ContractViolationError as exc:
-        _emit_error("E_PARSE", str(exc), None)
-        return 1
-    except SymmetryAbsentError as exc:
-        _emit_error("E_SOLVE", str(exc), None)
-        return 2
+    except (_InputError, CrossCapError) as exc:
+        code = _ERROR_CODES[type(exc)]
+        _emit_error(code, str(exc))
+        return 1 if code == "E_PARSE" else 2
 
 
 if __name__ == "__main__":

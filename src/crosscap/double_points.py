@@ -150,23 +150,26 @@ def _tangent(jac: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 def _correct(
     system: _DoubledSystem, x: np.ndarray, tangent: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float] | None, float]:
     """Newton iterations driving |f(q) - f(q')| below the corrector tol.
 
     With a tangent the step solves the square bordered system (moves in the
     hyperplane normal to the tangent); without one it takes the least-norm
-    step.  Returns (state, jacobian, image, residual norm) or None.
+    step.  Returns (state, jacobian, image, |f(q) - f(q')|) or None, and
+    the smallest max-norm residual seen (inf when none was finite).
     """
+    best = math.inf
     for _ in range(25):
         try:
             r, jac, image = system.residual(x)
-        except (JetDomainError, ContractViolationError, OverflowError):
-            return None
+        except (JetDomainError, ContractViolationError):
+            return None, best
         rn = float(np.max(np.abs(r)))
         if not np.isfinite(rn):
-            return None
+            return None, best
+        best = min(best, rn)
         if rn <= _CORRECTOR_TOL:
-            return x, jac, image, rn
+            return (x, jac, image, float(np.linalg.norm(r))), best
         try:
             if tangent is None:
                 delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -175,11 +178,11 @@ def _correct(
                 rhs = np.concatenate([-r, [0.0]])
                 delta = np.linalg.solve(bordered, rhs)
         except np.linalg.LinAlgError:
-            return None
+            return None, best
         if not np.isfinite(delta).all():
-            return None
+            return None, best
         x = x + delta
-    return None
+    return None, best
 
 
 def _seed_state(
@@ -206,15 +209,16 @@ def _trace_direction(
     direction: np.ndarray,
     budget: float,
     step: float,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Continuation from ``start`` along ``direction`` until the arc budget,
-    the diagonal guard, or a domain exit.  Returns (state, image) pairs.
+    the diagonal guard, or a domain exit.  Returns (state, image, residual)
+    triples, the residual being |f(q) - f(q')| at the state.
 
     The guard only fires when a corrected point lands closer to the
     diagonal than step/4; a healthy crossing jumps over that zone, so the
     trace normally passes straight through the singular point.
     """
-    samples: list[tuple[np.ndarray, np.ndarray]] = []
+    samples: list[tuple[np.ndarray, np.ndarray, float]] = []
     x = start
     tangent = _tangent(start_jac, direction)
     h = step
@@ -224,9 +228,9 @@ def _trace_direction(
         advanced = False
         while h >= step / 64.0:
             predicted = x + h * tangent
-            corrected = _correct(system, predicted, tangent)
+            corrected, _ = _correct(system, predicted, tangent)
             if corrected is not None:
-                x_new, jac_new, image_new, _ = corrected
+                x_new, jac_new, image_new, residual_new = corrected
                 moved = float(np.linalg.norm(x_new - x))
                 gap = float(np.linalg.norm(x_new[:2] - x_new[2:]))
                 if gap < min_gap:
@@ -237,7 +241,7 @@ def _trace_direction(
                 arc += moved
                 x = x_new
                 tangent = _tangent(jac_new, tangent)
-                samples.append((x.copy(), image_new))
+                samples.append((x.copy(), image_new, residual_new))
                 h = min(step, 2.0 * h)
                 advanced = True
                 break
@@ -276,18 +280,17 @@ def trace_double_points(
         raise ContractViolationError("arc_span and step must be positive")
     system = _DoubledSystem(defn, parameters)
     guess = _seed_state(cert, arc_span, step)
-    seeded = _correct(system, guess, None)
+    seeded, best = _correct(system, guess, None)
     if seeded is None:
-        probe = _correct_best_effort(system, guess)
         raise SeedFailureError(
             "corrector failed to converge on the double-point seed",
-            best_residual=math.inf if probe is None else probe,
+            best_residual=best,
         )
-    x0, jac0, image0, rn0 = seeded
+    x0, jac0, image0, residual0 = seeded
     offset0 = _gap(x0) / math.sqrt(2.0)
     if _gap(x0) < step / 4.0:
         raise SeedFailureError(
-            "double-point seed collapsed onto the diagonal", best_residual=rn0
+            "double-point seed collapsed onto the diagonal", best_residual=best
         )
 
     away = np.concatenate([x0[:2] - x0[2:], x0[2:] - x0[:2]])
@@ -299,18 +302,18 @@ def trace_double_points(
         system, x0, jac0, away, max(arc_span - offset0, 0.0) + 2.0 * step, step
     )
 
-    chain: list[tuple[np.ndarray, np.ndarray]] = list(reversed(inward))
-    chain.append((x0, image0))
+    chain = list(reversed(inward))
+    chain.append((x0, image0, residual0))
     chain.extend(outward)
 
     positions = [0.0]
-    for (xa, _), (xb, _) in zip(chain, chain[1:]):
+    for (xa, *_), (xb, *_) in zip(chain, chain[1:]):
         positions.append(positions[-1] + float(np.linalg.norm(xb - xa)))
 
     # locate the diagonal crossing: the reference separation is the one at
     # the outward end; entries on the far side have it reversed
     reference = chain[-1][0][:2] - chain[-1][0][2:]
-    sides = [float((state[:2] - state[2:]) @ reference) for state, _ in chain]
+    sides = [float((state[:2] - state[2:]) @ reference) for state, *_ in chain]
     flip = next((i for i, side in enumerate(sides) if side > 0.0), 0)
     crossed = flip > 0
     if crossed:
@@ -321,18 +324,17 @@ def trace_double_points(
         crossing = positions[0] - _gap(chain[0][0]) / math.sqrt(2.0)
 
     samples: list[DoublePointSample] = []
-    for (state, image), pos in zip(chain, positions):
+    for (state, image, residual), pos in zip(chain, positions):
         s = pos - crossing
         if abs(s) > arc_span:
             continue
-        r, _, _ = system.residual(state)
         samples.append(
             DoublePointSample(
                 s=s,
                 q=(float(state[0]), float(state[1])),
                 q_prime=(float(state[2]), float(state[3])),
                 image=image,
-                residual=float(np.linalg.norm(r)),
+                residual=residual,
             )
         )
     if not crossed:
@@ -350,29 +352,6 @@ def trace_double_points(
         ]
         samples = mirrored + samples
     return DoublePointCurve(samples=tuple(samples))
-
-
-def _correct_best_effort(system: _DoubledSystem, x: np.ndarray) -> float | None:
-    """Best residual reachable from a failed seed, for error reporting."""
-    best = None
-    for _ in range(25):
-        try:
-            r, jac, _ = system.residual(x)
-        except (JetDomainError, ContractViolationError, OverflowError):
-            return best
-        rn = float(np.max(np.abs(r)))
-        if not np.isfinite(rn):
-            return best
-        if best is None or rn < best:
-            best = rn
-        try:
-            delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            return best
-        if not np.isfinite(delta).all():
-            return best
-        x = x + delta
-    return best
 
 
 def transversality_check(
@@ -412,12 +391,16 @@ def curve_to_csv(curve: DoublePointCurve) -> str:
             sample.image[2],
             sample.residual,
         )
-        lines.append(",".join(_format_float(x) for x in fields))
+        lines.append(",".join(format_float(x) for x in fields))
     return "\n".join(lines) + "\n"
 
 
-def _format_float(x: float) -> str:
+def format_float(x: float) -> str:
+    """The one number format of every report and CSV: 17 significant
+    digits, -0.0 written as 0, and non-finite values refused."""
     x = float(x)
+    if not np.isfinite(x):
+        raise ContractViolationError("report fields must be finite")
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return format(x, ".17g")

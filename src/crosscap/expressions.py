@@ -325,13 +325,6 @@ def eval_expr_point(expr: Expr, u: float, v: float, params: dict[str, float]) ->
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _centred(jet: Jet2) -> tuple[float, Jet2]:
-    value = jet[0, 0]
-    arr = jet.coeffs.copy()
-    arr[0, 0] = 0.0
-    return value, Jet2(jet.order, arr)
-
-
 def eval_expr_jet(
     expr: Expr,
     base: tuple[float, float],
@@ -353,7 +346,7 @@ def eval_expr_jet(
         child = eval_expr_jet(expr.child, base, order, params)
         if expr.op == "neg":
             return -child
-        value, rest = _centred(child)
+        value, rest = child.split_constant()
         return elementary(expr.op, rest, value)
     if isinstance(expr, Binary):
         left = eval_expr_jet(expr.left, base, order, params)
@@ -365,7 +358,7 @@ def eval_expr_jet(
                 for _ in range(m):
                     acc = acc * left
                 return acc
-            value, rest = _centred(left)
+            value, rest = left.split_constant()
             if value == 0.0:
                 raise JetDomainError(
                     "negative power of an expression vanishing at the base point"
@@ -378,7 +371,7 @@ def eval_expr_jet(
             return left - right
         if expr.op == "mul":
             return left * right
-        value, rest = _centred(right)
+        value, rest = right.split_constant()
         if value == 0.0:
             raise JetDomainError(
                 "division by an expression vanishing at the base point"
@@ -396,7 +389,6 @@ class MapDefinition:
 
     components: tuple[Expr, Expr, Expr]
     parameters: dict[str, float]
-    default_order: int = 6
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -417,7 +409,6 @@ class MapDefinition:
 def parse_map_definition(
     component_sources: list[str] | tuple[str, str, str],
     parameters: dict[str, float] | None = None,
-    default_order: int = 6,
 ) -> MapDefinition:
     """Parse the three component texts of a map into a definition."""
     sources = list(component_sources)
@@ -431,7 +422,7 @@ def parse_map_definition(
             raise ParseError(
                 f"component {index + 1}: {exc.reason}", exc.offset
             ) from None
-    return MapDefinition(tuple(components), parameters or {}, default_order)
+    return MapDefinition(tuple(components), parameters or {})
 
 
 def eval_map_jet(
@@ -443,14 +434,15 @@ def eval_map_jet(
     """Taylor-mode evaluation of all three components about ``base``.
 
     Any order >= 0 is accepted here; the normal-form pipeline separately
-    requires order >= 3 for the data it reads.
+    requires order >= 3 for the data it reads.  Undefined values and values
+    beyond float range raise ``JetDomainError`` naming the component.
     """
     params = defn.bound_parameters(parameters)
     jets = []
     for index, comp in enumerate(defn.components):
         try:
             jets.append(eval_expr_jet(comp, base, order, params))
-        except JetDomainError as exc:
+        except (JetDomainError, OverflowError) as exc:
             raise JetDomainError(f"component {index + 1}: {exc}") from None
     return MapJet3.from_uncentered(jets, base)
 
@@ -461,12 +453,12 @@ def eval_map_point(
     v: float,
     parameters: dict[str, float] | None = None,
 ) -> np.ndarray:
-    """Pointwise image of the map, one 3-vector."""
+    """Pointwise image of the map, one 3-vector; errors as in ``eval_map_jet``."""
     params = defn.bound_parameters(parameters)
     out = []
     for index, comp in enumerate(defn.components):
         try:
             out.append(eval_expr_point(comp, u, v, params))
-        except JetDomainError as exc:
+        except (JetDomainError, OverflowError) as exc:
             raise JetDomainError(f"component {index + 1}: {exc}") from None
     return np.array(out)

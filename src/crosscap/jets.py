@@ -48,6 +48,29 @@ def _triangle_mask(order: int) -> np.ndarray:
     return mask
 
 
+def _shift_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated triangle product of two coefficient arrays, in a's dtype.
+
+    Entries above the anti-diagonal come back unmasked: only triangle
+    entries of both factors ever reach a triangle entry of the result, and
+    every caller masks once (the ``Jet2`` constructor, or ``mul_coeffs``).
+    """
+    n = len(a)
+    out = np.zeros((n, n), a.dtype)
+    for j in range(n):
+        for k in range(n - j):
+            c = a[j, k]
+            if c != 0.0:
+                out[j:, k:] += c * b[: n - j, : n - k]
+    return out
+
+
+def mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jet product on raw coefficient arrays; keeps the dtype of ``a``, so
+    ``numpy.longdouble`` inputs give a ``numpy.longdouble`` product."""
+    return np.where(_triangle_mask(len(a) - 1), _shift_add(a, b), 0.0)
+
+
 def _check_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise ContractViolationError("jet coefficients must be finite")
@@ -202,17 +225,7 @@ class Jet2:
     def __mul__(self, other):
         if isinstance(other, Jet2):
             _check_same_order(self, other)
-            n = self.order
-            out = np.zeros((n + 1, n + 1))
-            c1, c2 = self.coeffs, other.coeffs
-            # shift-and-add convolution; the constructor re-zeroes anything
-            # that lands outside the triangle
-            for j in range(n + 1):
-                for k in range(n + 1 - j):
-                    a = c1[j, k]
-                    if a != 0.0:
-                        out[j:, k:] += a * c2[: n + 1 - j, : n + 1 - k]
-            return Jet2(n, out)
+            return Jet2(self.order, _shift_add(self.coeffs, other.coeffs))
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
@@ -290,6 +303,12 @@ class Jet2:
         return Jet2(n, acc)
 
     # -- views and evaluation -----------------------------------------------
+
+    def split_constant(self) -> tuple[float, "Jet2"]:
+        """The constant term and the centred rest of the jet."""
+        arr = self.coeffs.copy()
+        arr[0, 0] = 0.0
+        return self[0, 0], Jet2(self.order, arr)
 
     def restrict_v_axis(self) -> Jet1:
         """The univariate jet of the restriction u = 0."""
@@ -482,16 +501,8 @@ class MapJet3:
         cls, components: Iterable[Jet2], base_point: tuple[float, float]
     ) -> "MapJet3":
         """Split off the constant terms of raw jets into ``base_value``."""
-        comps = list(components)
-        base_value = []
-        centred = []
-        for c in comps:
-            value = c[0, 0]
-            base_value.append(value)
-            arr = c.coeffs.copy()
-            arr[0, 0] = 0.0
-            centred.append(Jet2(c.order, arr))
-        return cls(centred, base_point, tuple(base_value))
+        split = [c.split_constant() for c in components]
+        return cls([c for _, c in split], base_point, [value for value, _ in split])
 
     @property
     def order(self) -> int:

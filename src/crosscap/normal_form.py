@@ -25,7 +25,7 @@ from .errors import (
     DegenerateFrameError,
     SolveInconsistentError,
 )
-from .jets import Jet1, Jet2, MapJet3, _triangle_mask
+from .jets import Jet1, Jet2, MapJet3, mul_coeffs
 from .locate import CrossCapCertificate
 
 __all__ = [
@@ -219,27 +219,17 @@ def build_frame(cert: CrossCapCertificate) -> CrossCapFrame:
 
 
 def _second_component(
-    u_tilde: Jet2, v_tilde: Jet2, b_coeffs: np.ndarray, up_to: int
-) -> Jet2:
-    """The jet of u~ * v~ + sum_m b_m v~^m with m < up_to."""
-    acc = u_tilde * v_tilde
-    power = v_tilde * v_tilde
+    u_arr: np.ndarray, v_arr: np.ndarray, b_coeffs: np.ndarray, up_to: int
+) -> np.ndarray:
+    """Coefficients of u~ * v~ + sum_m b_m v~^m with m < up_to, in the
+    dtype of ``u_arr``."""
+    acc = mul_coeffs(u_arr, v_arr)
+    power = mul_coeffs(v_arr, v_arr)
     for m in range(3, up_to):
-        power = power * v_tilde
+        power = mul_coeffs(power, v_arr)
         if b_coeffs[m] != 0.0:
             acc = acc + b_coeffs[m] * power
     return acc
-
-
-def _mul_arr(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Truncated jet product on raw coefficient arrays, preserving dtype."""
-    n = order + 1
-    out = np.zeros_like(a)
-    for j in range(order + 1):
-        for k in range(order + 1 - j):
-            if a[j, k] != 0.0:
-                out[j:, k:] += a[j, k] * b[: n - j, : n - k]
-    return np.where(_triangle_mask(order), out, 0.0)
 
 
 def _solve_characteristics(
@@ -263,12 +253,7 @@ def _solve_characteristics(
     v_arr[0, 1] = q
     b_arr = np.zeros(n + 1, dtype=g1a.dtype)
     for k in range(3, n + 1):
-        acc = _mul_arr(g1a, v_arr, n)
-        power = _mul_arr(v_arr, v_arr, n)
-        for m in range(3, k):
-            power = _mul_arr(power, v_arr, n)
-            if b_arr[m] != 0.0:
-                acc = acc + b_arr[m] * power
+        acc = _second_component(g1a, v_arr, b_arr, k)
         b_arr[k] = (g2a[0, k] - acc[0, k]) / q**k
         for j in range(1, k + 1):
             rhs = (
@@ -283,8 +268,8 @@ def _solve_characteristics(
     u_pows[0][0, 0] = 1.0
     v_pows[0][0, 0] = 1.0
     for m in range(1, n + 1):
-        u_pows[m] = _mul_arr(u_pows[m - 1], g1a, n)
-        v_pows[m] = _mul_arr(v_pows[m - 1], v_arr, n)
+        u_pows[m] = mul_coeffs(u_pows[m - 1], g1a)
+        v_pows[m] = mul_coeffs(v_pows[m - 1], v_arr)
     a_arr = np.zeros_like(g1a)
     low = np.zeros_like(g1a)
     for d in range(2, n + 1):
@@ -300,7 +285,7 @@ def _solve_characteristics(
         if d < n:
             for t in range(d + 1):
                 if a_arr[d - t, t] != 0.0:
-                    low = low + a_arr[d - t, t] * _mul_arr(u_pows[d - t], v_pows[t], n)
+                    low = low + a_arr[d - t, t] * mul_coeffs(u_pows[d - t], v_pows[t])
     return (
         np.asarray(v_arr, dtype=float),
         np.asarray(b_arr, dtype=float),
@@ -369,7 +354,9 @@ def reduce_to_normal_form(cert: CrossCapCertificate, order: int) -> NormalForm:
             "first characteristic function lost its positive v^2 coefficient"
         )
 
-    rebuilt_2 = _second_component(u_tilde, v_tilde, b_coeffs, order + 1)
+    rebuilt_2 = Jet2(
+        order, _second_component(u_tilde.coeffs, v_tilde.coeffs, b_coeffs, order + 1)
+    )
     rebuilt_3 = a.compose(u_tilde, v_tilde)
     residual = max(
         (rebuilt_2 - g2).max_abs(),

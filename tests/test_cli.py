@@ -174,6 +174,51 @@ def test_invalid_order_exits_one(capsys):
     assert "order" in payload["error"]["message"]
 
 
+def _request_file(tmp_path, payload: dict) -> str:
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_overflow_at_the_given_point_is_an_entry_warning(capsys, tmp_path):
+    request = _request_file(
+        tmp_path, {"components": ["u", "u*v", "v^2 + exp(1000 + u)"], "point": [0, 0]}
+    )
+    rc, report, err = _run_json(capsys, ["analyze", "--map", request])
+    assert rc == 2
+    (entry,) = report["entries"]
+    assert entry["status"] == "no_cross_cap"
+    assert [w["code"] for w in entry["warnings"]] == ["E_PARSE"]
+    assert "Traceback" not in err
+
+
+def test_overflow_in_a_mesh_sample_exits_one(capsys, tmp_path):
+    request = _request_file(tmp_path, {"components": ["u", "u*v", "exp(1000*u)"]})
+    rc, payload, err = _run_json(capsys, ["mesh", "--map", request, "--grid", "3"])
+    assert rc == 1
+    assert payload["error"]["code"] == "E_PARSE"
+    assert "component 3" in payload["error"]["message"]
+    assert "Traceback" not in err
+
+
+def test_every_library_error_has_a_documented_code():
+    # the table has no fallback, so a new error class must be given a code
+    import inspect
+
+    from crosscap import errors
+    from crosscap.cli import _ERROR_CODES
+
+    classes = [
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.CrossCapError) and cls is not errors.CrossCapError
+    ]
+    assert len(classes) >= 15
+    codes = {"E_PARSE", "E_NOT_CROSSCAP", "E_WHITNEY", "E_SOLVE", "E_SEED"}
+    for cls in classes:
+        assert _ERROR_CODES[cls] in codes, cls.__name__
+
+
 def test_immersion_reports_no_cross_cap_and_exits_two(capsys):
     rc, report, _ = _run_json(capsys, ["analyze", "--map", _fixture("immersion.json")])
     assert rc == 2

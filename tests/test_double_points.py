@@ -15,6 +15,8 @@ from crosscap.double_points import (
     DoublePointCurve,
     DoublePointSample,
     NormalField,
+    _correct,
+    _DoubledSystem,
     curve_to_csv,
     trace_double_points,
     transversality_check,
@@ -104,6 +106,16 @@ def test_seed_failure_when_the_seed_leaves_the_domain():
     defn, cert = _certified(components)
     with pytest.raises(SeedFailureError, match="seed"):
         trace_double_points(defn, cert, 1.0, 0.01)
+
+
+def test_failed_corrector_reports_the_smallest_residual_it_saw():
+    # f(q) - f(q') = (u^9 - u'^9, 0, 0): every least-norm step scales u and
+    # u' by 8/9, too slowly to reach the corrector tolerance in 25 steps,
+    # and the residual 2 u^9 is smallest at the last of the 25 evaluations
+    system = _DoubledSystem(parse_map_definition(("u^9", "0", "0")), None)
+    corrected, best = _correct(system, np.array([2.0, 0.0, -2.0, 0.0]), None)
+    assert corrected is None
+    assert best == pytest.approx(2.0 * (2.0 * (8.0 / 9.0) ** 24) ** 9, rel=1e-9)
 
 
 def test_step_collapse_when_no_progress_is_possible():

@@ -18,7 +18,15 @@ from crosscap.errors import (
     JetDomainError,
     NotInvertibleError,
 )
-from crosscap.jets import Jet1, Jet2, MapJet3, diffeo_invert, elementary, jet1_to_jet2
+from crosscap.jets import (
+    Jet1,
+    Jet2,
+    MapJet3,
+    diffeo_invert,
+    elementary,
+    jet1_to_jet2,
+    mul_coeffs,
+)
 
 RNG_SEED = 20260814
 N_PROPERTY_TRIALS = 200
@@ -152,6 +160,25 @@ def test_mul_matches_naive_oracle_randomized():
         a = _random_jet(rng, order)
         b = _random_jet(rng, order)
         _assert_close(a * b, _naive_mul(a, b), RING_TOL)
+
+
+def test_mul_coeffs_keeps_the_longdouble_dtype():
+    # the normal-form solve multiplies through this kernel in extended
+    # precision; rounding a product to float64 would cost that accuracy
+    rng = np.random.default_rng(RNG_SEED + 2)
+    for order in (0, 3, 8):
+        a = _random_jet(rng, order)
+        b = _random_jet(rng, order)
+        product = mul_coeffs(
+            a.coeffs.astype(np.longdouble), b.coeffs.astype(np.longdouble)
+        )
+        assert product.dtype == np.longdouble
+        idx = np.arange(order + 1)
+        assert not product[idx[:, None] + idx[None, :] > order].any()
+        _assert_close(Jet2(order, product.astype(float)), _naive_mul(a, b), RING_TOL)
+    x = np.longdouble(1.0) + np.longdouble(2.0) ** -30
+    square = mul_coeffs(np.full((1, 1), x), np.full((1, 1), x))
+    assert square[0, 0] == x * x
 
 
 def test_mul_matches_sympy_oracle():
