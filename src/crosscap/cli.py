@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -147,12 +148,9 @@ def _emit_error(code: str, message: str) -> None:
 # -- request handling ----------------------------------------------------------
 
 
-def _parse_number_list(text: str, count: int, what: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise _InputError(f"{what} needs {count} comma-separated numbers: {text!r}")
+def _parse_number_list(text: str, what: str) -> list[float]:
     try:
-        return [float(p) for p in parts]
+        return [float(p) for p in text.split(",")]
     except ValueError:
         raise _InputError(f"{what} has a non-numeric entry: {text!r}") from None
 
@@ -164,11 +162,26 @@ def _parse_param_flag(text: str) -> tuple[str, float | list[float]]:
     name = name.strip()
     if not name:
         raise _InputError(f"--param expects name=value, got {text!r}")
-    try:
-        values = [float(p) for p in raw.split(",")]
-    except ValueError:
-        raise _InputError(f"--param {name}: non-numeric value {raw!r}") from None
+    values = _parse_number_list(raw, f"--param {name}")
     return name, values[0] if len(values) == 1 else values
+
+
+def _finite_numbers(values, what: str) -> list[float]:
+    """A request list as floats; every entry must be a finite number."""
+    if not isinstance(values, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+    ):
+        raise _InputError(f"{what} must be numeric")
+    if not all(math.isfinite(x) for x in values):
+        raise _InputError(f"{what} must be finite")
+    return [float(x) for x in values]
+
+
+def _positive_number(value, what: str) -> float:
+    (number,) = _finite_numbers([value], what)
+    if number <= 0.0:
+        raise _InputError(f"{what} must be positive")
+    return number
 
 
 def _load_request(args: argparse.Namespace) -> dict:
@@ -198,12 +211,7 @@ def _load_request(args: argparse.Namespace) -> dict:
     for name, value in getattr(args, "param", None) or []:
         parameters[name] = value
     for name, value in parameters.items():
-        ok_scalar = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok_list = isinstance(value, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-        )
-        if not (ok_scalar or ok_list):
-            raise _InputError(f"parameter {name!r} must be a number or number list")
+        _finite_numbers(value if isinstance(value, list) else [value], f"parameter {name!r}")
 
     tolerances = dict(raw.get("tolerances") or {})
     request = {
@@ -217,14 +225,13 @@ def _load_request(args: argparse.Namespace) -> dict:
             "singular": tolerances.get("singular", _DEFAULTS["tol_singular"]),
             "symmetry": tolerances.get("symmetry", _DEFAULTS["tol_symmetry"]),
         },
-        "outputs": list(raw.get("outputs") or ["report"]),
         "span": raw.get("span", _DEFAULTS["span"]),
         "step": raw.get("step", _DEFAULTS["step"]),
     }
     if args.point is not None:
-        request["point"] = _parse_number_list(args.point, 2, "--point")
+        request["point"] = _parse_number_list(args.point, "--point")
     if args.box is not None:
-        request["box"] = _parse_number_list(args.box, 4, "--box")
+        request["box"] = _parse_number_list(args.box, "--box")
     if request["box"] is None:
         request["box"] = list(_DEFAULTS["box"])
     if args.tol_singular is not None:
@@ -242,35 +249,19 @@ def _load_request(args: argparse.Namespace) -> dict:
     grid = request["grid"]
     if not isinstance(grid, int) or grid < 2:
         raise _InputError(f"grid must be an integer >= 2, got {grid!r}")
-    box = request["box"]
-    if (
-        not isinstance(box, list)
-        or len(box) != 4
-        or not all(isinstance(x, (int, float)) for x in box)
-    ):
+    box = request["box"] = _finite_numbers(request["box"], "box")
+    if len(box) != 4:
         raise _InputError("box must be four numbers [umin, umax, vmin, vmax]")
     if not (box[0] < box[1] and box[2] < box[3]):
         raise _InputError("box must satisfy umin < umax and vmin < vmax")
-    request["box"] = [float(x) for x in box]
-    point = request["point"]
-    if point is not None:
-        if not (
-            isinstance(point, list)
-            and len(point) == 2
-            and all(isinstance(x, (int, float)) for x in point)
-        ):
+    if request["point"] is not None:
+        request["point"] = _finite_numbers(request["point"], "point")
+        if len(request["point"]) != 2:
             raise _InputError("point must be two numbers [u, v]")
-        request["point"] = [float(x) for x in point]
-    for key in ("singular", "symmetry"):
-        tol = request["tolerances"][key]
-        if not isinstance(tol, (int, float)) or tol <= 0.0:
-            raise _InputError(f"tolerance {key!r} must be positive")
-        request["tolerances"][key] = float(tol)
+    for key, tol in request["tolerances"].items():
+        request["tolerances"][key] = _positive_number(tol, f"tolerance {key!r}")
     for key in ("span", "step"):
-        val = request[key]
-        if not isinstance(val, (int, float)) or val <= 0.0:
-            raise _InputError(f"{key} must be positive")
-        request[key] = float(val)
+        request[key] = _positive_number(request[key], key)
     return request
 
 

@@ -162,7 +162,7 @@ def _correct(
     for _ in range(25):
         try:
             r, jac, image = system.residual(x)
-        except (JetDomainError, ContractViolationError):
+        except JetDomainError:
             return None, best
         rn = float(np.max(np.abs(r)))
         if not np.isfinite(rn):

@@ -18,9 +18,9 @@ class ContractViolationError(CrossCapError):
 
 
 class JetDomainError(CrossCapError):
-    """A function was expanded outside its domain of smoothness
-    (log/sqrt of a non-positive base value, division by a quantity that
-    vanishes at the expansion point, ...)."""
+    """A map was evaluated or expanded outside its domain (log/sqrt of a
+    non-positive base value, division by a quantity that vanishes at the
+    expansion point, a value beyond float range, ...)."""
 
 
 class NotInvertibleError(CrossCapError):

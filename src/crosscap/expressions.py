@@ -13,8 +13,10 @@ Implicit multiplication is not accepted: ``c*u^2``, never ``cu^2``.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -133,6 +135,13 @@ class _Parser:
             self.fail(f"expected {text!r}")
         self.advance()
 
+    def number(self) -> float:
+        tok = self.advance()
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(f"number {tok.text} is beyond float range", tok.offset)
+        return value
+
     def parse(self) -> Expr:
         expr = self.parse_sum()
         tok = self.peek()
@@ -181,10 +190,9 @@ class _Parser:
             self.expect_op(")")
             return value
         if tok.kind == "number":
-            value = float(tok.text)
+            value = self.number()
             if value != int(value):
                 raise ParseError("exponent must be an integer constant", tok.offset)
-            self.advance()
             return int(value)
         self.fail("expected an integer exponent")
         raise AssertionError("unreachable")
@@ -192,8 +200,7 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
-            self.advance()
-            return Constant(float(tok.text))
+            return Constant(self.number())
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -275,6 +282,22 @@ def expr_to_text(expr: Expr) -> str:
 
 # -- evaluation --------------------------------------------------------------
 
+_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+_POINT_FUNCTIONS = {name: getattr(math, name) for name in _FUNCTIONS}
+
+
+def _jet_function(name: str, jet: Jet2) -> Jet2:
+    value, rest = jet.split_constant()
+    return elementary(name, rest, value)
+
+
+_JET_FUNCTIONS = {name: partial(_jet_function, name) for name in _FUNCTIONS}
+
 
 def _lookup(name: str, params: dict[str, float]) -> float:
     try:
@@ -283,46 +306,61 @@ def _lookup(name: str, params: dict[str, float]) -> float:
         raise UnboundParameterError(f"parameter {name!r} is not bound") from None
 
 
+def _evaluate(expr: Expr, leaves: tuple, number, functions: dict, params: dict):
+    """The one walk of an expression tree, over floats or ``Jet2`` values.
+
+    ``leaves`` are the values of u and v, ``number`` makes a value from a
+    float and ``functions`` maps each function name to its action on values.
+    Values need only ``+ - * /``, unary ``-`` and integer ``**``, so each
+    value type keeps its own rules for domains and powers.  Whatever
+    ``ArithmeticError`` or ``ValueError`` Python raises on the way (a math
+    domain error, a division by zero, an overflow) leaves as JetDomainError.
+    """
+    # exact node types, most frequent first: mesh sampling makes this hot
+    kind = type(expr)
+    try:
+        if kind is Binary:
+            left = _evaluate(expr.left, leaves, number, functions, params)
+            if expr.op == "pow":
+                return left ** int(expr.right.value)
+            right = _evaluate(expr.right, leaves, number, functions, params)
+            return _BINARY[expr.op](left, right)
+        if kind is Var:
+            return leaves[0] if expr.name == "u" else leaves[1]
+        if kind is Constant:
+            return number(expr.value)
+        if kind is Unary:
+            x = _evaluate(expr.child, leaves, number, functions, params)
+            return -x if expr.op == "neg" else functions[expr.op](x)
+        if kind is Parameter:
+            return number(_lookup(expr.name, params))
+    except (ArithmeticError, ValueError) as exc:
+        raise JetDomainError(str(exc)) from None
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
 def eval_expr_point(expr: Expr, u: float, v: float, params: dict[str, float]) -> float:
     """Plain numeric evaluation, used for meshes and finite-difference checks."""
-    if isinstance(expr, Constant):
-        return expr.value
-    if isinstance(expr, Var):
-        return u if expr.name == "u" else v
-    if isinstance(expr, Parameter):
-        return _lookup(expr.name, params)
-    if isinstance(expr, Unary):
-        x = eval_expr_point(expr.child, u, v, params)
-        if expr.op == "neg":
-            return -x
-        if expr.op == "log":
-            if x <= 0.0:
-                raise JetDomainError(f"log of a non-positive value {x}")
-            return math.log(x)
-        if expr.op == "sqrt":
-            if x < 0.0:
-                raise JetDomainError(f"sqrt of a negative value {x}")
-            return math.sqrt(x)
-        return getattr(math, expr.op)(x)
-    if isinstance(expr, Binary):
-        a = eval_expr_point(expr.left, u, v, params)
-        if expr.op == "pow":
-            assert isinstance(expr.right, Constant)
-            m = int(expr.right.value)
-            if m < 0 and a == 0.0:
-                raise JetDomainError("negative power of zero")
-            return a ** m
-        b = eval_expr_point(expr.right, u, v, params)
-        if expr.op == "add":
-            return a + b
-        if expr.op == "sub":
-            return a - b
-        if expr.op == "mul":
-            return a * b
-        if b == 0.0:
-            raise JetDomainError("division by zero")
-        return a / b
-    raise TypeError(f"not an expression node: {expr!r}")
+    value = _evaluate(expr, (float(u), float(v)), float, _POINT_FUNCTIONS, params)
+    if not math.isfinite(value):
+        raise JetDomainError(f"value {value} is beyond float range")
+    return value
+
+
+def _jet_leaves(base: tuple[float, float], order: int) -> tuple[Jet2, Jet2]:
+    if order >= 1:
+        du, dv = Jet2.var_u(order), Jet2.var_v(order)
+    else:
+        du = dv = Jet2.zeros(order)
+    return du + Jet2.constant(base[0], order), dv + Jet2.constant(base[1], order)
+
+
+def _expand(expr: Expr, leaves: tuple[Jet2, Jet2], params: dict[str, float]) -> Jet2:
+    number = partial(Jet2.constant, order=leaves[0].order)
+    # the product kernel may overflow in the discarded entries above the
+    # anti-diagonal; a kept entry that is not finite fails in Jet2 itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _evaluate(expr, leaves, number, _JET_FUNCTIONS, params)
 
 
 def eval_expr_jet(
@@ -332,52 +370,7 @@ def eval_expr_jet(
     params: dict[str, float],
 ) -> Jet2:
     """Taylor expansion of the expression about ``base``, constant term kept."""
-    if isinstance(expr, Constant):
-        return Jet2.constant(expr.value, order)
-    if isinstance(expr, Var):
-        if expr.name == "u":
-            jet = Jet2.var_u(order) if order >= 1 else Jet2.zeros(order)
-            return jet + Jet2.constant(base[0], order)
-        jet = Jet2.var_v(order) if order >= 1 else Jet2.zeros(order)
-        return jet + Jet2.constant(base[1], order)
-    if isinstance(expr, Parameter):
-        return Jet2.constant(_lookup(expr.name, params), order)
-    if isinstance(expr, Unary):
-        child = eval_expr_jet(expr.child, base, order, params)
-        if expr.op == "neg":
-            return -child
-        value, rest = child.split_constant()
-        return elementary(expr.op, rest, value)
-    if isinstance(expr, Binary):
-        left = eval_expr_jet(expr.left, base, order, params)
-        if expr.op == "pow":
-            assert isinstance(expr.right, Constant)
-            m = int(expr.right.value)
-            if m >= 0:
-                acc = Jet2.constant(1.0, order)
-                for _ in range(m):
-                    acc = acc * left
-                return acc
-            value, rest = left.split_constant()
-            if value == 0.0:
-                raise JetDomainError(
-                    "negative power of an expression vanishing at the base point"
-                )
-            return elementary("pow_int", rest, value, exponent=m)
-        right = eval_expr_jet(expr.right, base, order, params)
-        if expr.op == "add":
-            return left + right
-        if expr.op == "sub":
-            return left - right
-        if expr.op == "mul":
-            return left * right
-        value, rest = right.split_constant()
-        if value == 0.0:
-            raise JetDomainError(
-                "division by an expression vanishing at the base point"
-            )
-        return left * elementary("pow_int", rest, value, exponent=-1)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return _expand(expr, _jet_leaves(base, order), params)
 
 
 # -- map definitions ----------------------------------------------------------
@@ -425,6 +418,16 @@ def parse_map_definition(
     return MapDefinition(tuple(components), parameters or {})
 
 
+def _by_component(defn: MapDefinition, evaluate) -> list:
+    out = []
+    for index, comp in enumerate(defn.components):
+        try:
+            out.append(evaluate(comp))
+        except JetDomainError as exc:
+            raise JetDomainError(f"component {index + 1}: {exc}") from None
+    return out
+
+
 def eval_map_jet(
     defn: MapDefinition,
     base: tuple[float, float],
@@ -437,13 +440,9 @@ def eval_map_jet(
     requires order >= 3 for the data it reads.  Undefined values and values
     beyond float range raise ``JetDomainError`` naming the component.
     """
+    leaves = _jet_leaves(base, order)
     params = defn.bound_parameters(parameters)
-    jets = []
-    for index, comp in enumerate(defn.components):
-        try:
-            jets.append(eval_expr_jet(comp, base, order, params))
-        except (JetDomainError, OverflowError) as exc:
-            raise JetDomainError(f"component {index + 1}: {exc}") from None
+    jets = _by_component(defn, lambda comp: _expand(comp, leaves, params))
     return MapJet3.from_uncentered(jets, base)
 
 
@@ -455,10 +454,6 @@ def eval_map_point(
 ) -> np.ndarray:
     """Pointwise image of the map, one 3-vector; errors as in ``eval_map_jet``."""
     params = defn.bound_parameters(parameters)
-    out = []
-    for index, comp in enumerate(defn.components):
-        try:
-            out.append(eval_expr_point(comp, u, v, params))
-        except (JetDomainError, OverflowError) as exc:
-            raise JetDomainError(f"component {index + 1}: {exc}") from None
-    return np.array(out)
+    return np.array(
+        _by_component(defn, lambda comp: eval_expr_point(comp, u, v, params))
+    )

@@ -71,11 +71,6 @@ def mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(_triangle_mask(len(a) - 1), _shift_add(a, b), 0.0)
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise ContractViolationError("jet coefficients must be finite")
-
-
 def _check_same_order(a, b) -> None:
     if a.order != b.order:
         raise ContractViolationError(
@@ -92,7 +87,8 @@ class Jet1:
         arr = np.array(coeffs, dtype=float).reshape(-1)
         if arr.size == 0:
             raise ContractViolationError("Jet1 needs at least the constant term")
-        _check_finite(arr)
+        if not np.isfinite(arr).all():
+            raise ContractViolationError("jet coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "order", arr.size - 1)
@@ -153,8 +149,11 @@ class Jet2:
             raise ContractViolationError(
                 f"coefficient array must be ({order + 1}, {order + 1}), got {arr.shape}"
             )
-        _check_finite(arr)
         arr = np.where(_triangle_mask(order), arr, 0.0)
+        if not np.isfinite(arr).all():
+            # the one check for values beyond float range in jet arithmetic;
+            # the discarded entries above the anti-diagonal may overflow
+            raise JetDomainError("jet coefficients beyond float range")
         arr.setflags(write=False)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", arr)
@@ -234,6 +233,19 @@ class Jet2:
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
+
+    def __pow__(self, m: int) -> "Jet2":
+        """Integer power; a negative one needs a non-zero constant term."""
+        if m >= 0:
+            acc = Jet2.constant(1.0, self.order)
+            for _ in range(m):
+                acc = acc * self
+            return acc
+        value, rest = self.split_constant()
+        return elementary("pow_int", rest, value, exponent=m)
+
+    def __truediv__(self, other) -> "Jet2":
+        return self * other**-1
 
     def __getitem__(self, jk: tuple[int, int]) -> float:
         j, k = jk

@@ -119,7 +119,7 @@ def _refine_seed(
     def evaluate(q: np.ndarray) -> MapJet3 | None:
         try:
             return eval_map_jet(defn, (q[0], q[1]), 2, parameters)
-        except (JetDomainError, ContractViolationError):
+        except JetDomainError:
             return None
 
     umin, umax, vmin, vmax = bounds

@@ -6,6 +6,8 @@ frozen golden files, which pins the stable field order and float formatting.
 """
 
 import json
+import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -180,25 +182,109 @@ def _request_file(tmp_path, payload: dict) -> str:
     return str(path)
 
 
-def test_overflow_at_the_given_point_is_an_entry_warning(capsys, tmp_path):
+def _run_json_without_warnings(capsys, argv):
+    # a numpy RuntimeWarning becomes an exception here, so none can pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, payload, err = _run_json(capsys, argv)
+    assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    return rc, payload
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        "v^2 + exp(1000 + u)",
+        # the log series overflows past its first coefficient
+        "log(1e-200 + u) + v^2",
+        # the power series overflows past its first coefficient
+        "(1e-300 + u)^-1 + v^2",
+    ],
+    ids=["exp", "log-series", "power-series"],
+)
+def test_overflow_at_the_given_point_is_an_entry_warning(capsys, tmp_path, component):
     request = _request_file(
-        tmp_path, {"components": ["u", "u*v", "v^2 + exp(1000 + u)"], "point": [0, 0]}
+        tmp_path, {"components": ["u", "u*v", component], "point": [0, 0]}
     )
-    rc, report, err = _run_json(capsys, ["analyze", "--map", request])
+    rc, report = _run_json_without_warnings(capsys, ["analyze", "--map", request])
     assert rc == 2
     (entry,) = report["entries"]
     assert entry["status"] == "no_cross_cap"
     assert [w["code"] for w in entry["warnings"]] == ["E_PARSE"]
-    assert "Traceback" not in err
+    assert "component 3" in entry["warnings"][0]["message"]
 
 
-def test_overflow_in_a_mesh_sample_exits_one(capsys, tmp_path):
-    request = _request_file(tmp_path, {"components": ["u", "u*v", "exp(1000*u)"]})
-    rc, payload, err = _run_json(capsys, ["mesh", "--map", request, "--grid", "3"])
+@pytest.mark.parametrize(
+    "component",
+    ["exp(1000*u)", "sin(1e308*10*u)", "1e308*10*u"],
+    ids=["exp", "sin-of-inf", "product"],
+)
+def test_overflow_in_a_mesh_sample_exits_one(capsys, tmp_path, component):
+    request = _request_file(tmp_path, {"components": ["u", "u*v", component]})
+    rc, payload = _run_json_without_warnings(
+        capsys, ["mesh", "--map", request, "--grid", "3"]
+    )
     assert rc == 1
     assert payload["error"]["code"] == "E_PARSE"
     assert "component 3" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("component", ["1e999*u", "v^1e999"])
+def test_non_finite_literal_is_a_parse_error(capsys, tmp_path, component):
+    request = _request_file(
+        tmp_path, {"components": ["u", "u*v", component], "point": [0, 0]}
+    )
+    rc, payload, err = _run_json(capsys, ["analyze", "--map", request])
+    assert rc == 1
+    assert payload["error"]["code"] == "E_PARSE"
+    assert "1e999 is beyond float range" in payload["error"]["message"]
+    assert f"offset {component.index('1e999')}" in payload["error"]["message"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fields, flags, named",
+    [
+        ({"tolerances": {"singular": math.nan}}, [], "tolerance 'singular'"),
+        ({"parameters": {"c": math.inf}}, [], "parameter 'c'"),
+        ({"parameters": {"c": [1.0, -math.inf]}}, [], "parameter 'c'"),
+        ({"box": [-1, math.inf, -1, 1]}, [], "box"),
+        ({}, ["--param", "c=nan"], "parameter 'c'"),
+        ({}, ["--param", "c=0,inf"], "parameter 'c'"),
+        ({}, ["--point", "nan,0"], "point"),
+        ({}, ["--box=-1,1,-inf,1"], "box"),
+        ({}, ["--tol-symmetry", "inf"], "tolerance 'symmetry'"),
+    ],
+    ids=[
+        "json-tolerance",
+        "json-parameter",
+        "json-sweep",
+        "json-box",
+        "flag-parameter",
+        "flag-sweep",
+        "flag-point",
+        "flag-box",
+        "flag-tolerance",
+    ],
+)
+def test_non_finite_request_numbers_are_rejected(capsys, tmp_path, fields, flags, named):
+    base = {"components": ["u", "u*v + v^3", "c*u^2 + v^2"], "parameters": {"c": 1.0}}
+    request = _request_file(tmp_path, {**base, **fields})
+    rc, payload, _ = _run_json(capsys, ["analyze", "--map", request, *flags])
+    assert rc == 1
+    assert payload["error"]["code"] == "E_PARSE"
+    assert f"{named} must be finite" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("flags", [["--span", "inf"], ["--step", "nan"]])
+def test_selfint_rejects_a_non_finite_span_or_step_at_once(capsys, flags):
+    rc, payload, _ = _run_json(
+        capsys, ["selfint", "--map", _fixture("example_cubic.json"), *flags]
+    )
+    assert rc == 1
+    assert payload["error"]["code"] == "E_PARSE"
+    assert f"{flags[0][2:]} must be finite" in payload["error"]["message"]
 
 
 def test_every_library_error_has_a_documented_code():

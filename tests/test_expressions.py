@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscap.errors import JetDomainError, ParseError, UnboundParameterError
 from crosscap.expressions import (
     Binary,
     Constant,
+    MapDefinition,
     Parameter,
     Unary,
     Var,
@@ -364,3 +367,58 @@ def test_map_jet_unbound_parameter():
     defn = parse_map_definition(["u", "v", "c*u^2"])
     with pytest.raises(UnboundParameterError):
         eval_map_jet(defn, (0.0, 0.0), 3)
+
+
+# -- properties over generated trees ---------------------------------------------------
+
+# Trees the parser can produce: non-negative literals, integer exponents, and
+# parameter names that include a function name not followed by "(".
+_LEAVES = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Constant),
+    st.sampled_from(["u", "v"]).map(Var),
+    st.sampled_from(["a", "c", "sin", "uv"]).map(Parameter),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "sin", "cos", "exp", "log", "sqrt"]), children),
+        st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), children, children),
+        st.builds(
+            lambda base, m: Binary("pow", base, Constant(float(m))),
+            children,
+            st.integers(-3, 5),
+        ),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=10)
+_COORDINATES = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_TREES)
+def test_print_parse_round_trip_property(expr):
+    assert parse_expr(expr_to_text(expr)) == expr
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    _TREES,
+    _COORDINATES,
+    _COORDINATES,
+    st.dictionaries(st.sampled_from(["a", "c", "sin"]), _COORDINATES),
+)
+def test_evaluation_is_finite_or_a_domain_error_property(expr, u, v, params):
+    defn = MapDefinition((Var("u"), Var("v"), expr), params)
+    try:
+        assert np.isfinite(eval_map_point(defn, u, v)).all()
+    except (JetDomainError, UnboundParameterError):
+        pass
+    for order in range(4):
+        try:
+            jet = eval_map_jet(defn, (u, v), order)
+        except (JetDomainError, UnboundParameterError):
+            continue
+        assert np.isfinite(jet.base_value).all()
+        assert all(np.isfinite(c.coeffs).all() for c in jet.components)
