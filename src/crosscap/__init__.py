@@ -12,15 +12,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .double_points import (
-    DoublePointCurve,
-    DoublePointSample,
-    NormalField,
-    curve_to_csv,
-    trace_double_points,
-    transversality_check,
-    unit_normal,
-)
+from .double_points import curve_to_csv, trace_double_points
 from .errors import (
     ContractViolationError,
     CrossCapError,
@@ -39,90 +31,37 @@ from .errors import (
     UnboundParameterError,
     WhitneyFailError,
 )
-from .expressions import (
-    MapDefinition,
-    eval_map_jet,
-    eval_map_point,
-    expr_to_text,
-    parse_expr,
-    parse_map_definition,
-)
-from .jets import Jet1, Jet2, MapJet3, diffeo_invert, elementary, jet1_to_jet2
-from .locate import (
-    CrossCapCertificate,
-    SingularCandidate,
-    align_kernel,
-    certify_jet,
-    find_singular_points,
-)
-from .normal_form import (
-    CongruenceMotion,
-    CrossCapFrame,
-    NormalForm,
-    build_frame,
-    characteristic_invariants,
-    reduce_to_normal_form,
-    transport_normal_form,
-)
-from .symmetry import (
-    SymmetryReport,
-    SymmetryVerdict,
-    SymmetryWitness,
-    classify_symmetries,
-    symmetry_witness,
-)
+from .expressions import eval_map_jet, parse_map_definition
+from .locate import certify_jet, find_singular_points
+from .normal_form import reduce_to_normal_form
+from .symmetry import classify_symmetries, symmetry_witness
 
+# the functions of the README's Python quick start and every error class;
+# every other public name is imported from its module
 __all__ = [
-    "CongruenceMotion",
     "ContractViolationError",
-    "CrossCapCertificate",
     "CrossCapError",
-    "CrossCapFrame",
     "DegenerateFrameError",
-    "DoublePointCurve",
-    "DoublePointSample",
-    "Jet1",
-    "Jet2",
     "JetDomainError",
-    "MapDefinition",
-    "MapJet3",
-    "NormalField",
-    "NormalForm",
     "NotCrossCapError",
     "NotInvertibleError",
     "NotSingularPointError",
     "ParseError",
     "RankZeroError",
     "SeedFailureError",
-    "SingularCandidate",
     "SingularPointError",
     "SolveInconsistentError",
     "StepCollapseError",
     "SymmetryAbsentError",
-    "SymmetryReport",
-    "SymmetryVerdict",
-    "SymmetryWitness",
     "UnboundParameterError",
     "WhitneyFailError",
-    "align_kernel",
-    "build_frame",
     "certify_jet",
-    "characteristic_invariants",
     "classify_symmetries",
     "curve_to_csv",
-    "diffeo_invert",
-    "elementary",
     "eval_map_jet",
-    "eval_map_point",
-    "expr_to_text",
     "find_singular_points",
-    "jet1_to_jet2",
-    "parse_expr",
     "parse_map_definition",
     "reduce_to_normal_form",
     "symmetry_witness",
     "trace_double_points",
-    "transport_normal_form",
-    "transversality_check",
-    "unit_normal",
 ]

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -305,7 +306,7 @@ def _symmetry_payload(report) -> dict:
     }
 
 
-def _cross_cap_payload(cert, nf, sym_report) -> dict:
+def _analyze_payload(cert, nf, sym_report) -> dict:
     a_list = []
     n = nf.working_order
     for degree in range(n + 1):
@@ -331,10 +332,37 @@ def _cross_cap_payload(cert, nf, sym_report) -> dict:
     }
 
 
-def _candidate_points(defn, request, combo) -> tuple[list, list]:
-    """Explicit point or grid search results, plus any warnings."""
+def _classify_payload(cert, nf, sym_report) -> dict:
+    return {
+        "point": [cert.point[0], cert.point[1]],
+        "whitney_det": cert.whitney_det,
+        "symmetry": _symmetry_payload(sym_report),
+    }
+
+
+def _transport_payload(motion, cert, nf, sym_report) -> dict:
+    base_inv = characteristic_invariants(nf)
+    moved_inv = characteristic_invariants(transport_normal_form(nf, motion))
+    diff = max(abs(base_inv[key] - moved_inv[key]) for key in base_inv) / max(
+        1.0, max(abs(x) for x in base_inv.values())
+    )
+    return {
+        "point": [cert.point[0], cert.point[1]],
+        "whitney_det": cert.whitney_det,
+        "invariants": base_inv,
+        "transported": {
+            "motion": motion.tag,
+            "invariants": moved_inv,
+            "fixed_point": diff <= sym_report.residual_tolerance,
+            "difference": diff,
+        },
+    }
+
+
+def _candidate_points(defn, request, combo) -> list[tuple[float, float]]:
+    """The explicit point, or the grid search results."""
     if request["point"] is not None:
-        return [tuple(request["point"])], []
+        return [tuple(request["point"])]
     candidates = find_singular_points(
         defn,
         tuple(request["box"]),
@@ -342,22 +370,20 @@ def _candidate_points(defn, request, combo) -> tuple[list, list]:
         request["tolerances"]["singular"],
         combo,
     )
-    if not candidates:
-        return [], [
-            {
-                "code": "E_SEED",
-                "message": "no singular points found in the search box",
-            }
-        ]
-    return [c.point for c in candidates], []
+    return [c.point for c in candidates]
 
 
-def _analyze_entry(defn, request, combo, trim: str | None = None, motion=None) -> dict:
-    """Run locate + certify + reduce + classify for one parameter binding."""
+_NO_POINTS = "no singular points found in the search box"
+
+
+def _analyze_entry(defn, request, combo, payload) -> dict:
+    """Run locate + certify + reduce + classify for one parameter binding;
+    ``payload`` turns each certified cross cap into its report entry."""
     warnings: list[dict] = []
     cross_caps: list[dict] = []
-    points, warnings_seed = _candidate_points(defn, request, combo)
-    warnings.extend(warnings_seed)
+    points = _candidate_points(defn, request, combo)
+    if not points:
+        warnings.append({"code": "E_SEED", "message": _NO_POINTS})
     for point in points:
         try:
             cert = align_kernel(
@@ -377,33 +403,7 @@ def _analyze_entry(defn, request, combo, trim: str | None = None, motion=None) -
                 }
             )
             continue
-        payload = _cross_cap_payload(cert, nf, sym_report)
-        if trim == "classify":
-            payload = {
-                "point": payload["point"],
-                "whitney_det": payload["whitney_det"],
-                "symmetry": payload["symmetry"],
-            }
-        elif trim == "transport":
-            moved = transport_normal_form(nf, motion)
-            moved_inv = characteristic_invariants(moved)
-            base_inv = payload["invariants"]
-            diff = max(
-                abs(base_inv[key] - moved_inv[key]) for key in base_inv
-            ) / max(1.0, max(abs(x) for x in base_inv.values()))
-            transported = {
-                "motion": motion.tag,
-                "invariants": moved_inv,
-                "fixed_point": diff <= request["tolerances"]["symmetry"],
-                "difference": diff,
-            }
-            payload = {
-                "point": payload["point"],
-                "whitney_det": payload["whitney_det"],
-                "invariants": payload["invariants"],
-                "transported": transported,
-            }
-        cross_caps.append(payload)
+        cross_caps.append(payload(cert, nf, sym_report))
     return {
         "parameters": combo,
         "status": "ok" if cross_caps else "no_cross_cap",
@@ -412,16 +412,13 @@ def _analyze_entry(defn, request, combo, trim: str | None = None, motion=None) -
     }
 
 
-def _run_report_command(args, trim: str | None = None) -> int:
+def _run_report_command(args, payload) -> int:
     request = _load_request(args)
-    motion = None
-    if trim == "transport":
-        motion = CongruenceMotion.from_tag(args.motion)
     defn = parse_map_definition(request["components"])
     entries = []
     certified = 0
     for combo in _sweep_combinations(request["parameters"]):
-        entry = _analyze_entry(defn, request, combo, trim=trim, motion=motion)
+        entry = _analyze_entry(defn, request, combo, payload)
         certified += len(entry["cross_caps"])
         entries.append(entry)
     report = {
@@ -434,25 +431,25 @@ def _run_report_command(args, trim: str | None = None) -> int:
 
 
 def cmd_analyze(args) -> int:
-    return _run_report_command(args, trim=None)
+    return _run_report_command(args, _analyze_payload)
 
 
 def cmd_classify(args) -> int:
-    return _run_report_command(args, trim="classify")
+    return _run_report_command(args, _classify_payload)
 
 
 def cmd_transport(args) -> int:
-    return _run_report_command(args, trim="transport")
+    motion = CongruenceMotion.from_tag(args.motion)
+    return _run_report_command(args, partial(_transport_payload, motion))
 
 
 def cmd_selfint(args) -> int:
     request = _load_request(args)
     defn = parse_map_definition(request["components"])
     combo = _require_scalar_parameters(request, "selfint")
-    points, seed_warnings = _candidate_points(defn, request, combo)
+    points = _candidate_points(defn, request, combo)
     if not points:
-        message = seed_warnings[0]["message"] if seed_warnings else "no seed"
-        _emit_error("E_SEED", message)
+        _emit_error("E_SEED", _NO_POINTS)
         return 2
     cert = align_kernel(
         defn,
@@ -462,7 +459,7 @@ def cmd_selfint(args) -> int:
         combo,
     )
     curve = trace_double_points(defn, cert, request["span"], request["step"], combo)
-    angles = transversality_check(defn, curve, combo)
+    angles = transversality_check(curve)
     if angles.size and float(angles.min()) < TANGENCY_ANGLE:
         print(
             f"warning: near-tangential sheets (min angle {angles.min():.3e} rad)",

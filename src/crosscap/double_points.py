@@ -32,7 +32,6 @@ from .normal_form import reduce_to_normal_form
 __all__ = [
     "DoublePointCurve",
     "DoublePointSample",
-    "NormalField",
     "curve_to_csv",
     "trace_double_points",
     "transversality_check",
@@ -43,34 +42,8 @@ RESIDUAL_BOUND = 1e-8
 _CORRECTOR_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class NormalField:
-    """A choice of unit normal nu = sign * (f_u x f_v)/|f_u x f_v|."""
-
-    defn: MapDefinition
-    orientation_sign: int = 1
-    parameters: dict[str, float] | None = None
-
-    @classmethod
-    def oriented(
-        cls,
-        defn: MapDefinition,
-        e3: np.ndarray,
-        at: tuple[float, float],
-        parameters: dict[str, float] | None = None,
-    ) -> "NormalField":
-        """Pick the sign making nu point along e3 at a reference point."""
-        field = cls(defn, 1, parameters)
-        nu = unit_normal(field, at)
-        sign = 1 if float(nu @ np.asarray(e3, dtype=float)) >= 0.0 else -1
-        return cls(defn, sign, parameters)
-
-
-def unit_normal(field: NormalField, q: tuple[float, float]) -> np.ndarray:
-    """The oriented unit normal at a regular point."""
-    jet = eval_map_jet(field.defn, q, 1, field.parameters)
-    f_u = jet.f_u()
-    f_v = jet.f_v()
+def _normal(f_u: np.ndarray, f_v: np.ndarray, q: tuple[float, float]) -> np.ndarray:
+    """(f_u x f_v)/|f_u x f_v|; a singular point has no normal direction."""
     c = np.cross(f_u, f_v)
     cn = float(np.linalg.norm(c))
     bound = 1e-12 * float(np.linalg.norm(f_u)) * float(np.linalg.norm(f_v))
@@ -78,7 +51,17 @@ def unit_normal(field: NormalField, q: tuple[float, float]) -> np.ndarray:
         raise SingularPointError(
             f"point {q} is singular; the normal direction is undefined"
         )
-    return field.orientation_sign * c / cn
+    return c / cn
+
+
+def unit_normal(
+    defn: MapDefinition,
+    q: tuple[float, float],
+    parameters: dict[str, float] | None = None,
+) -> np.ndarray:
+    """The unit normal (f_u x f_v)/|f_u x f_v| at a regular point."""
+    jet = eval_map_jet(defn, q, 1, parameters)
+    return _normal(jet.f_u(), jet.f_v(), q)
 
 
 @dataclass(frozen=True)
@@ -87,7 +70,9 @@ class DoublePointSample:
 
     ``s`` is the signed arc parameter in the doubled source space with 0 at
     the crossing through the singular point; ``image`` is the common image
-    (midpoint of the two evaluations); ``residual`` is |f(q) - f(q')|.
+    (midpoint of the two evaluations); ``residual`` is |f(q) - f(q')|;
+    ``jacobian`` is the 3x4 matrix [f_u(q), f_v(q), -f_u(q'), -f_v(q')] of
+    f(q) - f(q') that the corrector accepted the sample with.
     """
 
     s: float
@@ -95,11 +80,25 @@ class DoublePointSample:
     q_prime: tuple[float, float]
     image: np.ndarray
     residual: float
+    jacobian: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.image, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "image", arr)
+        for name in ("image", "jacobian"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def mirrored(self) -> "DoublePointSample":
+        """The same double point with q and q' exchanged, at arc parameter -s."""
+        jac = self.jacobian
+        return DoublePointSample(
+            s=-self.s,
+            q=self.q_prime,
+            q_prime=self.q,
+            image=self.image,
+            residual=self.residual,
+            jacobian=np.hstack([-jac[:, 2:], -jac[:, :2]]),
+        )
 
 
 @dataclass(frozen=True)
@@ -209,16 +208,17 @@ def _trace_direction(
     direction: np.ndarray,
     budget: float,
     step: float,
-) -> list[tuple[np.ndarray, np.ndarray, float]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
     """Continuation from ``start`` along ``direction`` until the arc budget,
-    the diagonal guard, or a domain exit.  Returns (state, image, residual)
-    triples, the residual being |f(q) - f(q')| at the state.
+    the diagonal guard, or a domain exit.  Returns the corrector's
+    (state, jacobian, image, residual) at every accepted state, the
+    residual being |f(q) - f(q')|.
 
     The guard only fires when a corrected point lands closer to the
     diagonal than step/4; a healthy crossing jumps over that zone, so the
     trace normally passes straight through the singular point.
     """
-    samples: list[tuple[np.ndarray, np.ndarray, float]] = []
+    samples: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
     x = start
     tangent = _tangent(start_jac, direction)
     h = step
@@ -241,7 +241,7 @@ def _trace_direction(
                 arc += moved
                 x = x_new
                 tangent = _tangent(jac_new, tangent)
-                samples.append((x.copy(), image_new, residual_new))
+                samples.append((x.copy(), jac_new, image_new, residual_new))
                 h = min(step, 2.0 * h)
                 advanced = True
                 break
@@ -303,7 +303,7 @@ def trace_double_points(
     )
 
     chain = list(reversed(inward))
-    chain.append((x0, image0, residual0))
+    chain.append((x0, jac0, image0, residual0))
     chain.extend(outward)
 
     positions = [0.0]
@@ -324,7 +324,7 @@ def trace_double_points(
         crossing = positions[0] - _gap(chain[0][0]) / math.sqrt(2.0)
 
     samples: list[DoublePointSample] = []
-    for (state, image, residual), pos in zip(chain, positions):
+    for (state, jac, image, residual), pos in zip(chain, positions):
         s = pos - crossing
         if abs(s) > arc_span:
             continue
@@ -335,42 +335,30 @@ def trace_double_points(
                 q_prime=(float(state[2]), float(state[3])),
                 image=image,
                 residual=residual,
+                jacobian=jac,
             )
         )
     if not crossed:
         # the trace stopped at the diagonal guard instead of jumping the
         # crossing; complete the other branch by the exact swap symmetry
-        mirrored = [
-            DoublePointSample(
-                s=-sample.s,
-                q=sample.q_prime,
-                q_prime=sample.q,
-                image=sample.image,
-                residual=sample.residual,
-            )
-            for sample in reversed(samples)
-        ]
-        samples = mirrored + samples
+        samples = [sample.mirrored() for sample in reversed(samples)] + samples
     return DoublePointCurve(samples=tuple(samples))
 
 
-def transversality_check(
-    defn: MapDefinition,
-    curve: DoublePointCurve,
-    parameters: dict[str, float] | None = None,
-) -> np.ndarray:
+def transversality_check(curve: DoublePointCurve) -> np.ndarray:
     """Angle between the two sheets' tangent planes at every sample.
 
-    Measured between the unit normals at q and q', in [0, pi]; the value is
-    independent of the global orientation sign.  Angles near 0 indicate a
-    tangency; near the singular point the angle approaches pi, which is the
-    expected behavior, not a degeneracy.
+    Measured between the unit normals at q and q', in [0, pi], which are
+    read off each sample's Jacobian; the value is independent of the
+    orientation of the normals.  Angles near 0 indicate a tangency; near
+    the singular point the angle approaches pi, which is the expected
+    behavior, not a degeneracy.
     """
-    field = NormalField(defn, 1, parameters)
     angles = []
     for sample in curve.samples:
-        nu = unit_normal(field, sample.q)
-        nu_p = unit_normal(field, sample.q_prime)
+        jac = sample.jacobian
+        nu = _normal(jac[:, 0], jac[:, 1], sample.q)
+        nu_p = _normal(-jac[:, 2], -jac[:, 3], sample.q_prime)
         c = float(np.clip(nu @ nu_p, -1.0, 1.0))
         angles.append(math.acos(c))
     return np.array(angles)

@@ -3,11 +3,12 @@
 The grammar is deliberately small.  Precedence from loosest to tightest:
 ``+ -``, then ``* /``, then unary ``-``, then ``^``.  The binary operators
 ``+ - * /`` associate to the left.  Exponents of ``^`` must be integer
-constants (optionally negated or parenthesized), so chained powers are
-rejected at parse time.  The names ``u`` and ``v`` are the surface
-parameters; any other identifier is a free parameter, except a known
-function name (sin, cos, exp, log, sqrt) directly followed by ``(``.
-Implicit multiplication is not accepted: ``c*u^2``, never ``cu^2``.
+constants of magnitude at most 100 (optionally negated or parenthesized),
+so chained powers are rejected at parse time.  The names ``u`` and ``v``
+are the surface parameters; any other identifier is a free parameter,
+except a known function name (sin, cos, exp, log, sqrt) directly followed
+by ``(``.  Implicit multiplication is not accepted: ``c*u^2``, never
+``cu^2``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ __all__ = [
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 _VARIABLES = ("u", "v")
+# a power of m costs m jet products, so m is bounded at parse time
+MAX_EXPONENT = 100
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,12 @@ class _Parser:
         base = self.parse_atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
+            offset = self.peek().offset
             exponent = self.parse_exponent()
+            if abs(exponent) > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {exponent} exceeds {MAX_EXPONENT} in magnitude", offset
+                )
             return Binary("pow", base, Constant(float(exponent)))
         return base
 

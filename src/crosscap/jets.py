@@ -36,7 +36,6 @@ __all__ = [
     "MapJet3",
     "diffeo_invert",
     "elementary",
-    "jet1_to_jet2",
 ]
 
 
@@ -263,22 +262,6 @@ class Jet2:
 
     # -- calculus ----------------------------------------------------------
 
-    def partial_u(self) -> "Jet2":
-        """Coefficient-shift derivative in u; the result has order-1."""
-        n = max(self.order - 1, 0)
-        out = np.zeros((n + 1, n + 1))
-        for j in range(n + 1):
-            out[j, : n + 1 - j] = (j + 1) * self.coeffs[j + 1, : n + 1 - j]
-        return Jet2(n, out)
-
-    def partial_v(self) -> "Jet2":
-        """Coefficient-shift derivative in v; the result has order-1."""
-        n = max(self.order - 1, 0)
-        out = np.zeros((n + 1, n + 1))
-        for k in range(n + 1):
-            out[: n + 1 - k, k] = (k + 1) * self.coeffs[: n + 1 - k, k + 1]
-        return Jet2(n, out)
-
     def truncate(self, order: int) -> "Jet2":
         """Return the jet at a new order (drops or zero-pads coefficients)."""
         if order < 0:
@@ -322,10 +305,6 @@ class Jet2:
         arr[0, 0] = 0.0
         return self[0, 0], Jet2(self.order, arr)
 
-    def restrict_v_axis(self) -> Jet1:
-        """The univariate jet of the restriction u = 0."""
-        return Jet1(self.coeffs[0, :].copy())
-
     def eval(self, du: float, dv: float) -> float:
         """Evaluate the truncated polynomial at offsets ``(du, dv)``."""
         acc = 0.0
@@ -352,26 +331,20 @@ class Jet2:
         return f"Jet2(order={self.order}, terms={self.terms()})"
 
 
-def jet1_to_jet2(jet: Jet1, order: int) -> Jet2:
-    """Embed a univariate jet in v as a bivariate jet of the given order."""
-    arr = np.zeros((order + 1, order + 1))
-    m = min(jet.order, order)
-    arr[0, : m + 1] = jet.coeffs[: m + 1]
-    return Jet2(order, arr)
-
-
 def diffeo_invert(phi_u: Jet2, phi_v: Jet2) -> tuple[Jet2, Jet2]:
     """Invert the plane jet ``phi = (phi_u, phi_v)`` about the origin.
 
-    Requires zero constant terms and an invertible linear part.  The result
-    ``psi`` satisfies ``phi(psi) = identity`` up to the working order; the
-    fixed-point iteration ``psi <- L^-1 (id - N(psi))`` (with ``phi = L + N``,
-    N of degree >= 2) gains one correct degree per step.
+    Requires order >= 1, zero constant terms and an invertible linear part.
+    The result ``psi`` satisfies ``phi(psi) = identity`` up to the working
+    order; the fixed-point iteration ``psi <- L^-1 (id - N(psi))`` (with
+    ``phi = L + N``, N of degree >= 2) gains one correct degree per step.
     """
     _check_same_order(phi_u, phi_v)
+    n = phi_u.order
+    if n < 1:
+        raise ContractViolationError("diffeo inversion needs order >= 1")
     if phi_u.coeffs[0, 0] != 0.0 or phi_v.coeffs[0, 0] != 0.0:
         raise ContractViolationError("diffeo jets must have zero constant term")
-    n = phi_u.order
     a, b = phi_u[1, 0], phi_u[0, 1]
     c, d = phi_v[1, 0], phi_v[0, 1]
     det = a * d - b * c
@@ -388,11 +361,11 @@ def diffeo_invert(phi_u: Jet2, phi_v: Jet2) -> tuple[Jet2, Jet2]:
     nonlin_u = phi_u - lin_u
     nonlin_v = phi_v - lin_v
 
-    ident_u = Jet2.var_u(n) if n >= 1 else Jet2.zeros(n)
-    ident_v = Jet2.var_v(n) if n >= 1 else Jet2.zeros(n)
-    psi_u = Jet2.from_terms(n, {(1, 0): ia, (0, 1): ib}) if n >= 1 else Jet2.zeros(n)
-    psi_v = Jet2.from_terms(n, {(1, 0): ic, (0, 1): id_}) if n >= 1 else Jet2.zeros(n)
-    for _ in range(max(n - 1, 0)):
+    ident_u = Jet2.var_u(n)
+    ident_v = Jet2.var_v(n)
+    psi_u = Jet2.from_terms(n, {(1, 0): ia, (0, 1): ib})
+    psi_v = Jet2.from_terms(n, {(1, 0): ic, (0, 1): id_})
+    for _ in range(n - 1):
         ru = ident_u - nonlin_u.compose(psi_u, psi_v)
         rv = ident_v - nonlin_v.compose(psi_u, psi_v)
         psi_u = ia * ru + ib * rv
@@ -422,8 +395,15 @@ def _univariate_series(tag: str, center: float, order: int, exponent: int | None
         if center <= 0.0:
             raise JetDomainError(f"log requires a positive base value, got {center}")
         out = [math.log(center)]
-        for k in range(1, order + 1):
-            out.append((-1.0) ** (k + 1) / (k * center**k))
+        try:
+            for k in range(1, order + 1):
+                out.append((-1.0) ** (k + 1) / (k * center**k))
+        except (ZeroDivisionError, OverflowError):  # center**k beyond float range
+            out.append(math.inf)
+        if not all(math.isfinite(c) for c in out):
+            raise JetDomainError(
+                f"log series about the base value {center} is beyond float range"
+            )
         return out
     if tag == "sqrt":
         if center <= 0.0:
@@ -543,12 +523,6 @@ class MapJet3:
     def jacobian(self) -> np.ndarray:
         """3x2 differential at the base point."""
         return np.column_stack([self.f_u(), self.f_v()])
-
-    def eval(self, du: float, dv: float) -> np.ndarray:
-        """Evaluate the truncated map at offsets from the base point."""
-        return np.array(
-            [bv + c.eval(du, dv) for bv, c in zip(self.base_value, self.components)]
-        )
 
     def truncate(self, order: int) -> "MapJet3":
         return MapJet3(

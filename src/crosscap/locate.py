@@ -38,12 +38,10 @@ MERGE_RADIUS = 1e-6
 
 @dataclass(frozen=True)
 class SingularCandidate:
-    """A refined rank-one point: location, |f_u x f_v| there, and the
-    direction angle of the kernel of the differential (in [0, pi))."""
+    """A refined rank-one point: location and |f_u x f_v| there."""
 
     point: tuple[float, float]
     residual: float
-    kernel_angle: float
 
 
 @dataclass(frozen=True)
@@ -209,15 +207,7 @@ def find_singular_points(
         ):
             continue
         merged.append((rn, qu, qv))
-
-    out = []
-    for rn, qu, qv in merged:
-        jet = eval_map_jet(defn, (qu, qv), 2, parameters)
-        k, _, _ = _kernel_direction(jet.jacobian())
-        out.append(
-            SingularCandidate(point=(qu, qv), residual=rn, kernel_angle=_kernel_angle(k))
-        )
-    return out
+    return [SingularCandidate(point=(qu, qv), residual=rn) for rn, qu, qv in merged]
 
 
 def certify_jet(

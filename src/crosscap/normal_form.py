@@ -25,14 +25,13 @@ from .errors import (
     DegenerateFrameError,
     SolveInconsistentError,
 )
-from .jets import Jet1, Jet2, MapJet3, mul_coeffs
+from .jets import Jet1, Jet2, mul_coeffs
 from .locate import CrossCapCertificate
 
 __all__ = [
     "CongruenceMotion",
     "CrossCapFrame",
     "NormalForm",
-    "build_frame",
     "characteristic_invariants",
     "reduce_to_normal_form",
     "transport_normal_form",
@@ -83,22 +82,6 @@ class CrossCapFrame:
     def rotation_rows(self) -> np.ndarray:
         """The orthogonal matrix with rows e1, e2, e3 (target -> adapted)."""
         return np.vstack([self.e1, self.e2, self.e3])
-
-    @property
-    def tangent_line(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.origin, self.e1
-
-    @property
-    def principal_plane(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        return self.origin, (self.e1, self.e3)
-
-    @property
-    def normal_plane(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        return self.origin, (self.e2, self.e3)
-
-    @property
-    def normal_line(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.origin, self.e3
 
 
 @dataclass(frozen=True)
@@ -209,13 +192,6 @@ def _adapted_axes(f_u, f_uv, f_vv):
         e1 = -e1
         e2 = -e2
     return e1, e2, e3
-
-
-def build_frame(cert: CrossCapCertificate) -> CrossCapFrame:
-    """Adapted frame at the image point of a certified cross cap jet."""
-    jet = cert.aligned_jet
-    e1, e2, e3 = _adapted_axes(jet.f_u(), jet.f_uv(), jet.f_vv())
-    return CrossCapFrame(np.array(jet.base_value), e1, e2, e3)
 
 
 def _second_component(

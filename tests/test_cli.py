@@ -7,6 +7,7 @@ frozen golden files, which pins the stable field order and float formatting.
 
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -193,17 +194,19 @@ def _run_json_without_warnings(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "component",
+    "component, named",
     [
-        "v^2 + exp(1000 + u)",
+        ("v^2 + exp(1000 + u)", None),
         # the log series overflows past its first coefficient
-        "log(1e-200 + u) + v^2",
+        ("log(1e-200 + u) + v^2", "log"),
         # the power series overflows past its first coefficient
-        "(1e-300 + u)^-1 + v^2",
+        ("(1e-300 + u)^-1 + v^2", None),
     ],
     ids=["exp", "log-series", "power-series"],
 )
-def test_overflow_at_the_given_point_is_an_entry_warning(capsys, tmp_path, component):
+def test_overflow_at_the_given_point_is_an_entry_warning(
+    capsys, tmp_path, component, named
+):
     request = _request_file(
         tmp_path, {"components": ["u", "u*v", component], "point": [0, 0]}
     )
@@ -213,6 +216,8 @@ def test_overflow_at_the_given_point_is_an_entry_warning(capsys, tmp_path, compo
     assert entry["status"] == "no_cross_cap"
     assert [w["code"] for w in entry["warnings"]] == ["E_PARSE"]
     assert "component 3" in entry["warnings"][0]["message"]
+    if named is not None:
+        assert named in entry["warnings"][0]["message"]
 
 
 @pytest.mark.parametrize(
@@ -240,6 +245,23 @@ def test_non_finite_literal_is_a_parse_error(capsys, tmp_path, component):
     assert payload["error"]["code"] == "E_PARSE"
     assert "1e999 is beyond float range" in payload["error"]["message"]
     assert f"offset {component.index('1e999')}" in payload["error"]["message"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exponent", ["100000000000000000000", "-101", "(101)"])
+def test_an_exponent_beyond_100_is_a_parse_error_at_once(capsys, tmp_path, exponent):
+    # a power of m costs m jet products; the first case ran unbounded
+    component = f"u^2 + v^{exponent}"
+    request = _request_file(
+        tmp_path, {"components": ["u", "u*v", component], "point": [0, 0]}
+    )
+    start = time.perf_counter()
+    rc, payload, err = _run_json(capsys, ["analyze", "--map", request])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert payload["error"]["code"] == "E_PARSE"
+    assert "exceeds 100 in magnitude" in payload["error"]["message"]
+    assert f"offset {component.rindex('^') + 1}" in payload["error"]["message"]
     assert "Traceback" not in err
 
 

@@ -1,8 +1,8 @@
-"""Tests for the self-intersection tracer and the oriented normal field.
+"""Tests for the self-intersection tracer and the unit normal.
 
 The standard cross cap has the v-axis pair (0, v), (0, -v) as its double
-locus and a closed-form unit normal, so both the tracer and the normal field
-can be checked against exact expressions; the cubic example adds a curved
+locus and a closed-form unit normal, so both the tracer and the normal can
+be checked against exact expressions; the cubic example adds a curved
 locus u = -v^2.
 """
 
@@ -14,7 +14,6 @@ import pytest
 from crosscap.double_points import (
     DoublePointCurve,
     DoublePointSample,
-    NormalField,
     _correct,
     _DoubledSystem,
     curve_to_csv,
@@ -35,6 +34,7 @@ RNG_SEED = 20260814
 
 F0 = ("u", "u*v", "v^2")
 CUBIC = ("u", "u*v + v^3", "u^2 + v^2")
+JAC = np.zeros((3, 4))
 
 
 def _certified(components, order=4):
@@ -140,49 +140,50 @@ def test_domain_exit_after_progress_returns_a_partial_curve():
 
 
 # ---------------------------------------------------------------------------
-# the oriented normal field
+# the unit normal and the sheet angles
 
 
 def test_unit_normal_matches_the_closed_form():
     defn = parse_map_definition(F0)
-    field = NormalField(defn)
-    flipped = NormalField(defn, orientation_sign=-1)
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(100):
         u, v = rng.uniform(0.1, 1.0, 2) * rng.choice([-1.0, 1.0], 2)
         expected = np.array([2.0 * v * v, -2.0 * v, u])
         expected /= math.sqrt(u * u + 4.0 * v * v + 4.0 * v**4)
-        got = unit_normal(field, (u, v))
+        got = unit_normal(defn, (u, v))
         assert np.max(np.abs(got - expected)) <= 1e-12
-        assert np.max(np.abs(unit_normal(flipped, (u, v)) + expected)) <= 1e-12
 
 
 def test_unit_normal_on_the_u_axis_is_vertical_with_the_sign_of_u():
-    field = NormalField(parse_map_definition(F0))
+    defn = parse_map_definition(F0)
     for u in (0.4, 1.0):
-        assert np.allclose(unit_normal(field, (u, 0.0)), [0.0, 0.0, 1.0], atol=1e-15)
-        assert np.allclose(unit_normal(field, (-u, 0.0)), [0.0, 0.0, -1.0], atol=1e-15)
+        assert np.allclose(unit_normal(defn, (u, 0.0)), [0.0, 0.0, 1.0], atol=1e-15)
+        assert np.allclose(unit_normal(defn, (-u, 0.0)), [0.0, 0.0, -1.0], atol=1e-15)
 
 
 def test_unit_normal_rejects_the_singular_point():
-    field = NormalField(parse_map_definition(F0))
     with pytest.raises(SingularPointError, match="singular"):
-        unit_normal(field, (0.0, 0.0))
+        unit_normal(parse_map_definition(F0), (0.0, 0.0))
 
 
-def test_oriented_field_aligns_with_the_reference_vector():
-    defn = parse_map_definition(F0)
-    e3 = np.array([0.0, 0.0, 1.0])
-    field = NormalField.oriented(defn, e3, (0.5, 0.0))
-    assert field.orientation_sign == 1
-    field = NormalField.oriented(defn, e3, (-0.5, 0.0))
-    assert field.orientation_sign == -1
-    assert np.allclose(unit_normal(field, (-0.5, 0.0)), e3, atol=1e-15)
+@pytest.mark.parametrize(
+    "components, arc_span, step",
+    [(F0, 1.0, 0.01), (CUBIC, 0.5, 0.01), (F0, 0.2, 0.05)],
+    ids=["crossed", "cubic", "mirrored"],
+)
+def test_samples_keep_the_jacobian_of_their_pair(components, arc_span, step):
+    # the third trace stops at the diagonal guard, so half of its samples
+    # are mirror images whose Jacobian halves are swapped and negated
+    defn, curve = _trace(components, arc_span, step)
+    for sample in curve.samples:
+        at_q = eval_map_jet(defn, sample.q, 1).jacobian()
+        at_q_prime = eval_map_jet(defn, sample.q_prime, 1).jacobian()
+        assert np.array_equal(sample.jacobian, np.hstack([at_q, -at_q_prime]))
 
 
 def test_transversality_angles_match_the_sheet_formula():
     defn, curve = _trace(F0, 1.0, 0.01)
-    angles = transversality_check(defn, curve)
+    angles = transversality_check(curve)
     assert len(angles) == len(curve.samples)
     for sample, angle in zip(curve.samples, angles):
         v = sample.q[1]
@@ -196,16 +197,19 @@ def test_transversality_angles_match_the_sheet_formula():
 
 def test_curve_validation_rejects_bad_samples():
     good = DoublePointSample(
-        s=0.1, q=(0.0, 0.1), q_prime=(0.0, -0.1), image=(0.0, 0.0, 0.01), residual=0.0
+        s=0.1, q=(0.0, 0.1), q_prime=(0.0, -0.1), image=(0.0, 0.0, 0.01),
+        residual=0.0, jacobian=JAC,
     )
     DoublePointCurve(samples=(good,))
     diagonal = DoublePointSample(
-        s=0.0, q=(0.0, 0.1), q_prime=(0.0, 0.1), image=(0.0, 0.0, 0.01), residual=0.0
+        s=0.0, q=(0.0, 0.1), q_prime=(0.0, 0.1), image=(0.0, 0.0, 0.01),
+        residual=0.0, jacobian=JAC,
     )
     with pytest.raises(ContractViolationError, match="diagonal"):
         DoublePointCurve(samples=(diagonal, good))
     sloppy = DoublePointSample(
-        s=0.1, q=(0.0, 0.1), q_prime=(0.0, -0.1), image=(0.0, 0.0, 0.01), residual=1e-6
+        s=0.1, q=(0.0, 0.1), q_prime=(0.0, -0.1), image=(0.0, 0.0, 0.01),
+        residual=1e-6, jacobian=JAC,
     )
     with pytest.raises(ContractViolationError, match="residual"):
         DoublePointCurve(samples=(sloppy,))
@@ -213,10 +217,13 @@ def test_curve_validation_rejects_bad_samples():
 
 def test_sample_image_is_read_only():
     sample = DoublePointSample(
-        s=0.1, q=(0.0, 0.1), q_prime=(0.0, -0.1), image=(0.0, 0.0, 0.01), residual=0.0
+        s=0.1, q=(0.0, 0.1), q_prime=(0.0, -0.1), image=(0.0, 0.0, 0.01),
+        residual=0.0, jacobian=JAC,
     )
     with pytest.raises(ValueError):
         sample.image[0] = 1.0
+    with pytest.raises(ValueError):
+        sample.jacobian[0, 0] = 1.0
 
 
 def test_csv_export_round_trips_every_field():

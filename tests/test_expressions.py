@@ -109,6 +109,14 @@ def test_parse_error_fractional_exponent():
     assert info.value.offset == 2
 
 
+def test_exponent_magnitude_is_bounded_by_100():
+    assert parse_expr("u^100") == Binary("pow", Var("u"), Constant(100.0))
+    assert parse_expr("u^-100") == Binary("pow", Var("u"), Constant(-100.0))
+    with pytest.raises(ParseError) as info:
+        parse_expr("u + v^-(101)")
+    assert info.value.offset == 6
+
+
 def test_parse_error_chained_power():
     with pytest.raises(ParseError):
         parse_expr("u^v")

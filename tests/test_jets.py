@@ -24,7 +24,6 @@ from crosscap.jets import (
     MapJet3,
     diffeo_invert,
     elementary,
-    jet1_to_jet2,
     mul_coeffs,
 )
 
@@ -68,6 +67,18 @@ def _assert_close(x: Jet2, y: Jet2, tol: float) -> None:
     scale = max(1.0, x.max_abs(), y.max_abs())
     diff = float(np.max(np.abs(x.coeffs - y.coeffs)))
     assert diff <= tol * scale, f"coefficient difference {diff:.3e} > {tol:.1e}"
+
+
+def _partial_u(jet: Jet2) -> Jet2:
+    """The u-derivative by coefficient shift; its order is one lower."""
+    n = jet.order
+    return Jet2(n - 1, np.arange(1, n + 1)[:, None] * jet.coeffs[1:, :-1])
+
+
+def _partial_v(jet: Jet2) -> Jet2:
+    """The v-derivative by coefficient shift; its order is one lower."""
+    n = jet.order
+    return Jet2(n - 1, np.arange(1, n + 1)[None, :] * jet.coeffs[:-1, 1:])
 
 
 # -- Jet1 ---------------------------------------------------------------------
@@ -225,18 +236,10 @@ def test_leibniz_rule_randomized():
         a = _random_jet(rng, order)
         b = _random_jet(rng, order)
         lower = order - 1
-        lhs_u = (a * b).partial_u()
-        rhs_u = a.partial_u() * b.truncate(lower) + a.truncate(lower) * b.partial_u()
-        _assert_close(lhs_u, rhs_u, RING_TOL)
-        lhs_v = (a * b).partial_v()
-        rhs_v = a.partial_v() * b.truncate(lower) + a.truncate(lower) * b.partial_v()
-        _assert_close(lhs_v, rhs_v, RING_TOL)
-
-
-def test_partials_on_monomials():
-    jet = Jet2.from_terms(3, {(2, 1): 5.0})
-    assert jet.partial_u().terms() == {(1, 1): 10.0}
-    assert jet.partial_v().terms() == {(2, 0): 5.0}
+        for d in (_partial_u, _partial_v):
+            lhs = d(a * b)
+            rhs = d(a) * b.truncate(lower) + a.truncate(lower) * d(b)
+            _assert_close(lhs, rhs, RING_TOL)
 
 
 # -- composition -----------------------------------------------------------------
@@ -364,6 +367,12 @@ def test_invert_rejects_singular_linear_part():
         diffeo_invert(Jet2.var_u(3), 2.0 * Jet2.var_u(3))
 
 
+def test_invert_rejects_order_zero():
+    # an order-0 jet has no linear part to invert
+    with pytest.raises(ContractViolationError, match="order >= 1"):
+        diffeo_invert(Jet2.zeros(0), Jet2.zeros(0))
+
+
 # -- elementary functions ---------------------------------------------------------
 
 
@@ -460,22 +469,7 @@ def test_pow_int_at_zero_center_is_monomial_power():
     assert got.terms() == {(0, 3): 1.0}
 
 
-# -- embeddings and views ----------------------------------------------------------
-
-
-def test_jet1_to_jet2_and_restrict_round_trip():
-    b = Jet1([0.0, 0.0, 0.0, 1.0, -2.0])
-    embedded = jet1_to_jet2(b, 6)
-    assert embedded[0, 3] == 1.0
-    assert embedded[0, 4] == -2.0
-    assert embedded[1, 0] == 0.0
-    back = embedded.restrict_v_axis()
-    assert back.coeffs[:5].tolist() == b.coeffs.tolist()
-
-
-def test_restrict_v_axis_drops_u_terms():
-    jet = Jet2.from_terms(3, {(1, 1): 4.0, (0, 2): 7.0})
-    assert jet.restrict_v_axis().coeffs.tolist() == [0.0, 0.0, 7.0, 0.0]
+# -- evaluation --------------------------------------------------------------------
 
 
 def test_eval_matches_term_sum():

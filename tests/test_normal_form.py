@@ -27,7 +27,6 @@ from crosscap.normal_form import (
     CongruenceMotion,
     CrossCapFrame,
     NormalForm,
-    build_frame,
     characteristic_invariants,
     reduce_to_normal_form,
     transport_normal_form,
@@ -88,8 +87,7 @@ def _congruent_copy(
 
 
 def test_frame_of_standard_cross_cap_is_standard():
-    cert = align_kernel(F0, (0.0, 0.0), ORDER)
-    frame = build_frame(cert)
+    frame = _reduce(F0).frame
     assert np.allclose(frame.origin, 0.0)
     assert np.allclose(frame.e1, [1.0, 0.0, 0.0])
     assert np.allclose(frame.e2, [0.0, 1.0, 0.0])
@@ -101,7 +99,7 @@ def test_frame_flip_keeps_right_handedness():
     # flips e1 and e2 back so the second adapted component keeps +uv
     defn = parse_map_definition(["-u", "u*v", "v^2"])
     cert = align_kernel(defn, (0.0, 0.0), ORDER)
-    frame = build_frame(cert)
+    frame = reduce_to_normal_form(cert, ORDER).frame
     rows = frame.rotation_rows()
     assert np.linalg.det(rows) == pytest.approx(1.0, abs=1e-12)
     uv = rows[1] @ cert.aligned_jet.f_uv()
@@ -116,9 +114,8 @@ def test_frame_rejects_degenerate_second_order_data():
         Jet2.zeros(3),
     ]
     jet = MapJet3(comps, (0.0, 0.0), (0.0, 0.0, 0.0))
-    cert_like = certify_jet
     with pytest.raises((DegenerateFrameError, WhitneyFailError)):
-        build_frame(cert_like(jet))
+        reduce_to_normal_form(certify_jet(jet), 3)
 
 
 def test_frame_validation():
@@ -131,19 +128,6 @@ def test_frame_validation():
         CrossCapFrame(
             (0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
         )
-
-
-def test_frame_plane_accessors():
-    frame = CrossCapFrame.standard()
-    origin, direction = frame.tangent_line
-    assert direction.tolist() == [1.0, 0.0, 0.0]
-    _, (p1, p2) = frame.principal_plane
-    assert p1.tolist() == [1.0, 0.0, 0.0]
-    assert p2.tolist() == [0.0, 0.0, 1.0]
-    _, (n1, n2) = frame.normal_plane
-    assert n1.tolist() == [0.0, 1.0, 0.0]
-    _, axis = frame.normal_line
-    assert axis.tolist() == [0.0, 0.0, 1.0]
 
 
 # -- reduction of the example families ------------------------------------------------
