@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -306,7 +306,7 @@ def _symmetry_payload(report) -> dict:
     }
 
 
-def _analyze_payload(cert, nf, sym_report) -> dict:
+def _analyze_payload(cert, nf, tol_symmetry) -> dict:
     a_list = []
     n = nf.working_order
     for degree in range(n + 1):
@@ -328,19 +328,19 @@ def _analyze_payload(cert, nf, sym_report) -> dict:
         "b_coefficients": b_list,
         "invariants": characteristic_invariants(nf),
         "reconstruction_residual": nf.reconstruction_residual,
-        "symmetry": _symmetry_payload(sym_report),
+        "symmetry": _symmetry_payload(classify_symmetries(nf, tol_symmetry)),
     }
 
 
-def _classify_payload(cert, nf, sym_report) -> dict:
+def _classify_payload(cert, nf, tol_symmetry) -> dict:
     return {
         "point": [cert.point[0], cert.point[1]],
         "whitney_det": cert.whitney_det,
-        "symmetry": _symmetry_payload(sym_report),
+        "symmetry": _symmetry_payload(classify_symmetries(nf, tol_symmetry)),
     }
 
 
-def _transport_payload(motion, cert, nf, sym_report) -> dict:
+def _transport_payload(motion, cert, nf, tol_symmetry) -> dict:
     base_inv = characteristic_invariants(nf)
     moved_inv = characteristic_invariants(transport_normal_form(nf, motion))
     diff = max(abs(base_inv[key] - moved_inv[key]) for key in base_inv) / max(
@@ -353,7 +353,7 @@ def _transport_payload(motion, cert, nf, sym_report) -> dict:
         "transported": {
             "motion": motion.tag,
             "invariants": moved_inv,
-            "fixed_point": diff <= sym_report.residual_tolerance,
+            "fixed_point": diff <= tol_symmetry,
             "difference": diff,
         },
     }
@@ -377,8 +377,9 @@ _NO_POINTS = "no singular points found in the search box"
 
 
 def _analyze_entry(defn, request, combo, payload) -> dict:
-    """Run locate + certify + reduce + classify for one parameter binding;
-    ``payload`` turns each certified cross cap into its report entry."""
+    """Run locate + certify + reduce for one parameter binding; ``payload``
+    turns each certified cross cap into its report entry, given the symmetry
+    tolerance."""
     warnings: list[dict] = []
     cross_caps: list[dict] = []
     points = _candidate_points(defn, request, combo)
@@ -394,7 +395,6 @@ def _analyze_entry(defn, request, combo, payload) -> dict:
                 combo,
             )
             nf = reduce_to_normal_form(cert, request["order"])
-            sym_report = classify_symmetries(nf, request["tolerances"]["symmetry"])
         except CrossCapError as exc:
             warnings.append(
                 {
@@ -403,7 +403,7 @@ def _analyze_entry(defn, request, combo, payload) -> dict:
                 }
             )
             continue
-        cross_caps.append(payload(cert, nf, sym_report))
+        cross_caps.append(payload(cert, nf, request["tolerances"]["symmetry"]))
     return {
         "parameters": combo,
         "status": "ok" if cross_caps else "no_cross_cap",
@@ -512,6 +512,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# built once per process: each build leaves reference cycles that only the
+# cyclic collector frees, and parsing keeps no state in the parser
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="crosscap",

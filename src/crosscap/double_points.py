@@ -59,7 +59,11 @@ def unit_normal(
     q: tuple[float, float],
     parameters: dict[str, float] | None = None,
 ) -> np.ndarray:
-    """The unit normal (f_u x f_v)/|f_u x f_v| at a regular point."""
+    """The unit normal (f_u x f_v)/|f_u x f_v| at a regular point.
+
+    Public, as the README's module table lists it; ``transversality_check``
+    uses the same ``_normal`` on the Jacobians the tracer keeps.
+    """
     jet = eval_map_jet(defn, q, 1, parameters)
     return _normal(jet.f_u(), jet.f_v(), q)
 

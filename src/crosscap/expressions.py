@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import JetDomainError, ParseError, UnboundParameterError
-from .jets import Jet2, MapJet3, elementary
+from .jets import Jet2, MapJet3, _JetBatch, elementary
 
 __all__ = [
     "Binary",
@@ -35,6 +35,7 @@ __all__ = [
     "eval_expr_jet",
     "eval_expr_point",
     "eval_map_jet",
+    "eval_map_jets",
     "eval_map_point",
     "expr_to_text",
     "parse_expr",
@@ -307,6 +308,14 @@ def _jet_function(name: str, jet: Jet2) -> Jet2:
 _JET_FUNCTIONS = {name: partial(_jet_function, name) for name in _FUNCTIONS}
 
 
+def _batch_function(name: str, batch: _JetBatch) -> _JetBatch:
+    value, rest = batch.split_constant()
+    return rest.elementary(name, value)
+
+
+_BATCH_FUNCTIONS = {name: partial(_batch_function, name) for name in _FUNCTIONS}
+
+
 def _lookup(name: str, params: dict[str, float]) -> float:
     try:
         return params[name]
@@ -315,7 +324,8 @@ def _lookup(name: str, params: dict[str, float]) -> float:
 
 
 def _evaluate(expr: Expr, leaves: tuple, number, functions: dict, params: dict):
-    """The one walk of an expression tree, over floats or ``Jet2`` values.
+    """The one walk of an expression tree, over floats, ``Jet2`` values or
+    batches of them.
 
     ``leaves`` are the values of u and v, ``number`` makes a value from a
     float and ``functions`` maps each function name to its action on values.
@@ -452,6 +462,47 @@ def eval_map_jet(
     params = defn.bound_parameters(parameters)
     jets = _by_component(defn, lambda comp: _expand(comp, leaves, params))
     return MapJet3.from_uncentered(jets, base)
+
+
+def eval_map_jets(
+    defn: MapDefinition,
+    bases: np.ndarray,
+    order: int,
+    parameters: dict[str, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_map_jet`` at many base points at once, for order >= 1.
+
+    ``bases`` has shape ``(points, 2)``.  Returns the uncentred coefficients,
+    shape ``(points, 3, order+1, order+1)``, and a mask of the points where
+    ``eval_map_jet`` raises JetDomainError.  At every other point the
+    coefficients are bit for bit those of ``eval_map_jet``.  An unbound
+    parameter raises as soon as a point that has not failed reaches it.
+    """
+    params = defn.bound_parameters(parameters)
+    count = len(bases)
+    shape = (count, order + 1, order + 1)
+    base_u, base_v = np.zeros(shape), np.zeros(shape)
+    # as in _jet_leaves: the variable plus the constant, so a base of -0.0
+    # gives +0.0
+    base_u[:, 0, 0] += bases[:, 0]
+    base_v[:, 0, 0] += bases[:, 1]
+    base_u[:, 1, 0] += 1.0
+    base_v[:, 0, 1] += 1.0
+    out = np.zeros((count, 3) + shape[1:])
+    failed = np.zeros(count, bool)
+    # a point that fails in one component stays failed in the next; once
+    # every point has failed, _JetBatch raises and the walk stops
+    try:
+        number = _JetBatch(np.zeros(shape), failed).constant
+        with np.errstate(all="ignore"):
+            for index, comp in enumerate(defn.components):
+                leaves = (_JetBatch(base_u, failed), _JetBatch(base_v, failed))
+                value = _evaluate(comp, leaves, number, _BATCH_FUNCTIONS, params)
+                failed = failed | value.failed
+                out[:, index] = value.coeffs
+    except JetDomainError:
+        failed = np.ones(count, bool)
+    return out, failed
 
 
 def eval_map_point(

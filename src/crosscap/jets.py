@@ -95,10 +95,6 @@ class Jet1:
     def __setattr__(self, name, value):
         raise AttributeError("Jet1 is immutable")
 
-    @classmethod
-    def zeros(cls, order: int) -> "Jet1":
-        return cls(np.zeros(order + 1))
-
     def __getitem__(self, k: int) -> float:
         return float(self.coeffs[k])
 
@@ -450,6 +446,100 @@ def elementary(
     return acc
 
 
+class _JetBatch:
+    """``Jet2`` values at many base points at once, for the grid search.
+
+    ``coeffs`` has a leading seed axis, shape ``(seeds, order+1, order+1)``;
+    ``failed`` marks the seeds whose evaluation has left the domain of the
+    map or float range.  Each operation repeats the arithmetic of ``Jet2``
+    seed by seed and term by term, so a seed that does not fail gets the
+    bits of its own ``Jet2`` evaluation.  A seed fails where ``Jet2`` would
+    raise; once every seed has failed, JetDomainError ends the walk, as it
+    would end each seed's own.  Callers silence numpy's warnings: failed
+    seeds carry on with whatever values they hold.
+    """
+
+    __slots__ = ("coeffs", "failed")
+
+    def __init__(self, coeffs: np.ndarray, failed: np.ndarray):
+        coeffs = np.where(_triangle_mask(coeffs.shape[-1] - 1), coeffs, 0.0)
+        failed = failed | ~np.isfinite(coeffs).all(axis=(1, 2))
+        if failed.all():
+            raise JetDomainError("the expansion failed at every base point")
+        self.coeffs = coeffs
+        self.failed = failed
+
+    def constant(self, value) -> "_JetBatch":
+        """A constant (a float, or one per seed) of the same shape, failing
+        wherever this value has failed."""
+        arr = np.zeros_like(self.coeffs)
+        arr[:, 0, 0] = value
+        return _JetBatch(arr, self.failed)
+
+    def __add__(self, other: "_JetBatch") -> "_JetBatch":
+        return _JetBatch(self.coeffs + other.coeffs, self.failed | other.failed)
+
+    def __sub__(self, other: "_JetBatch") -> "_JetBatch":
+        return _JetBatch(self.coeffs - other.coeffs, self.failed | other.failed)
+
+    def __neg__(self) -> "_JetBatch":
+        return _JetBatch(-self.coeffs, self.failed)
+
+    def __mul__(self, other: "_JetBatch") -> "_JetBatch":
+        # the loop of _shift_add without its zero test: a zero coefficient
+        # adds +-0 to entries that start at +0.0, which changes no bit while
+        # the factors are finite (a seed with a non-finite one has failed)
+        a, b = self.coeffs, other.coeffs
+        n = a.shape[-1]
+        out = np.zeros_like(a)
+        for j in range(n):
+            for k in range(n - j):
+                out[:, j:, k:] += a[:, j, k, None, None] * b[:, : n - j, : n - k]
+        return _JetBatch(out, self.failed | other.failed)
+
+    def __pow__(self, m: int) -> "_JetBatch":
+        if m >= 0:
+            acc = self.constant(1.0)
+            for _ in range(m):
+                acc = acc * self
+            return acc
+        value, rest = self.split_constant()
+        return rest.elementary("pow_int", value, exponent=m)
+
+    def __truediv__(self, other: "_JetBatch") -> "_JetBatch":
+        return self * other**-1
+
+    def split_constant(self) -> tuple[np.ndarray, "_JetBatch"]:
+        arr = self.coeffs.copy()
+        arr[:, 0, 0] = 0.0
+        return self.coeffs[:, 0, 0], _JetBatch(arr, self.failed)
+
+    def elementary(
+        self, tag: str, center_value: np.ndarray, exponent: int | None = None
+    ) -> "_JetBatch":
+        """``elementary`` at every seed; the series comes from ``math``, seed
+        by seed, and a seed whose series fails fails alone."""
+        n = self.coeffs.shape[-1] - 1
+        failed = self.failed.copy()
+        series = np.zeros((len(failed), n + 1))
+        for s in np.flatnonzero(~failed):
+            try:
+                series[s] = _univariate_series(tag, float(center_value[s]), n, exponent)
+            except (JetDomainError, ArithmeticError, ValueError):
+                failed[s] = True
+        arr = np.zeros_like(self.coeffs)
+        arr[:, 0, 0] = series[:, 0]
+        acc = _JetBatch(arr, failed)
+        power = acc.constant(1.0)
+        for k in range(1, n + 1):
+            power = power * self
+            term = _JetBatch(power.coeffs * series[:, k, None, None], power.failed)
+            used = (series[:, k] != 0.0)[:, None, None]
+            summed = np.where(used, acc.coeffs + term.coeffs, acc.coeffs)
+            acc = _JetBatch(summed, term.failed)
+        return acc
+
+
 class MapJet3:
     """Jet of a plane-to-space map: three centred bivariate jets plus the
     base point and its image.
@@ -531,6 +621,9 @@ class MapJet3:
             self.base_value,
         )
 
+    # rotate_target and translate_target are the target half of a
+    # congruence, as precompose is the source half; the tests move jets
+    # with them to check that certification and the invariants do not change
     def rotate_target(self, matrix: np.ndarray) -> "MapJet3":
         """Apply a 3x3 linear map on the target side."""
         m = np.asarray(matrix, dtype=float)

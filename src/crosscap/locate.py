@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import (
     ContractViolationError,
-    JetDomainError,
     NotSingularPointError,
     RankZeroError,
     WhitneyFailError,
 )
-from .expressions import MapDefinition, eval_map_jet
+from .expressions import MapDefinition, eval_map_jet, eval_map_jets
 from .jets import Jet2, MapJet3
 
 __all__ = [
@@ -34,6 +33,8 @@ __all__ = [
 
 DEFAULT_TOL_SINGULAR = 1e-9
 MERGE_RADIUS = 1e-6
+# seeds refined together; bounds the memory of a search at any grid
+SEED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -92,78 +93,126 @@ def _cross_residual(jet: MapJet3) -> np.ndarray:
     return np.cross(jet.f_u(), jet.f_v())
 
 
-def _residual_jacobian(jet: MapJet3) -> np.ndarray:
-    """Derivative of f_u x f_v with respect to the base point (3x2)."""
-    f_u, f_v = jet.f_u(), jet.f_v()
-    f_uu, f_uv, f_vv = jet.f_uu(), jet.f_uv(), jet.f_vv()
+def _residuals(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f_u x f_v and its 3x2 derivative in the base point, at every point
+    of a batch of order-2 map coefficients (as from ``eval_map_jets``)."""
+    f_u, f_v, f_uv = coeffs[:, :, 1, 0], coeffs[:, :, 0, 1], coeffs[:, :, 1, 1]
+    f_uu, f_vv = 2.0 * coeffs[:, :, 2, 0], 2.0 * coeffs[:, :, 0, 2]
     d_u = np.cross(f_uu, f_v) + np.cross(f_u, f_uv)
     d_v = np.cross(f_uv, f_v) + np.cross(f_u, f_vv)
-    return np.column_stack([d_u, d_v])
+    return np.cross(f_u, f_v), np.stack([d_u, d_v], axis=-1)
 
 
-def _refine_seed(
+def _norms(x: np.ndarray) -> np.ndarray:
+    # a stacked dot product gives np.linalg.norm's bits on each vector;
+    # norm(axis=-1) and sqrt(sum(x*x)) do not
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _normal_equations(jac: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    jac_t = jac.transpose(0, 2, 1)
+    return jac_t @ jac, (jac_t @ r[:, :, None])[:, :, 0]
+
+
+def _damped_steps(
+    gram: np.ndarray, grad: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (gram + lam I) delta = -grad at every seed; also a mask of the
+    seeds whose matrix is singular, which have no step."""
+    mats = gram + lam[:, None, None] * np.eye(2)
+    rhs = -grad
+    solved = np.ones(len(lam), bool)
+    try:
+        return np.linalg.solve(mats, rhs[:, :, None])[:, :, 0], solved
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the whole stack: solve seed by seed
+        delta = np.zeros_like(rhs)
+        for i in range(len(lam)):
+            try:
+                delta[i] = np.linalg.solve(mats[i], rhs[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return delta, solved
+
+
+def _gauss_newton(
     defn: MapDefinition,
-    seed: np.ndarray,
+    seeds: np.ndarray,
     bounds: tuple[float, float, float, float],
     parameters: dict[str, float] | None,
-) -> tuple[np.ndarray, float] | None:
-    """Damped Gauss-Newton on |f_u x f_v|^2 from one seed.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton on |f_u x f_v|^2 from every seed at once.
 
-    Returns the converged point and its residual norm, or None when the
-    iteration stalls, diverges out of the expanded box, or leaves the
-    domain of the map.
+    Each seed runs its own iteration: at most 60 steps of at most 10 tries,
+    a try being rejected when the damped system is singular, the point
+    leaves the expanded box or the domain of the map, or the residual norm
+    does not drop; lambda grows tenfold (to at least 1e-12) on a rejection
+    and shrinks tenfold (to 0 below 1e-10) on an acceptance.  A seed stops
+    when its residual norm or its accepted step falls to 1e-15 (the step
+    relative to 1 + |q|), after 60 steps or after 10 rejected tries.  Every
+    round gives each running seed one try, with one batched evaluation.
+
+    Returns the last points, their residual norms and a mask of the seeds
+    at which the map could be evaluated at all.
     """
-
-    def evaluate(q: np.ndarray) -> MapJet3 | None:
-        try:
-            return eval_map_jet(defn, (q[0], q[1]), 2, parameters)
-        except JetDomainError:
-            return None
-
     umin, umax, vmin, vmax = bounds
-    q = seed.astype(float)
-    lam = 0.0
-    jet = evaluate(q)
-    if jet is None:
-        return None
-    r = _cross_residual(jet)
-    rn = float(np.linalg.norm(r))
-    for _ in range(60):
-        if rn <= 1e-15:
-            break
-        jac = _residual_jacobian(jet)
-        gram = jac.T @ jac
-        grad = jac.T @ r
-        accepted = False
-        for _ in range(10):
-            try:
-                delta = np.linalg.solve(gram + lam * np.eye(2), -grad)
-            except np.linalg.LinAlgError:
-                lam = max(10.0 * lam, 1e-12)
-                continue
-            q_new = q + delta
-            if not (
-                umin <= q_new[0] <= umax and vmin <= q_new[1] <= vmax
-            ):
-                lam = max(10.0 * lam, 1e-12)
-                continue
-            jet_new = evaluate(q_new)
-            if jet_new is None:
-                lam = max(10.0 * lam, 1e-12)
-                continue
-            r_new = _cross_residual(jet_new)
-            rn_new = float(np.linalg.norm(r_new))
-            if np.isfinite(rn_new) and rn_new < rn:
-                q, jet, r, rn = q_new, jet_new, r_new, rn_new
-                lam = 0.0 if lam < 1e-10 else lam / 10.0
-                accepted = True
-                break
-            lam = max(10.0 * lam, 1e-12)
-        if not accepted:
-            break
-        if float(np.linalg.norm(delta)) <= 1e-15 * (1.0 + float(np.linalg.norm(q))):
-            break
-    return q, rn
+    count = len(seeds)
+    q = seeds.copy()
+    coeffs, failed = eval_map_jets(defn, q, 2, parameters)
+    r, jac = _residuals(coeffs)
+    rn = _norms(r)
+    gram, grad = _normal_equations(jac, r)
+    lam = np.zeros(count)
+    tries = np.zeros(count, int)
+    steps = np.zeros(count, int)
+    running = ~failed & ~(rn <= 1e-15)
+    while running.any():
+        idx = np.flatnonzero(running)
+        delta, solved = _damped_steps(gram[idx], grad[idx], lam[idx])
+        q_new = q[idx] + delta
+        tried = solved & (
+            (umin <= q_new[:, 0])
+            & (q_new[:, 0] <= umax)
+            & (vmin <= q_new[:, 1])
+            & (q_new[:, 1] <= vmax)
+        )
+        coeffs, failed_new = eval_map_jets(defn, q_new[tried], 2, parameters)
+        r_new, jac_new = _residuals(coeffs)
+        rn_new = _norms(r_new)
+        better = ~failed_new & np.isfinite(rn_new) & (rn_new < rn[idx[tried]])
+        accepted = np.zeros(len(idx), bool)
+        accepted[tried] = better
+
+        rejected = idx[~accepted]
+        lam[rejected] = np.maximum(10.0 * lam[rejected], 1e-12)
+        tries[rejected] += 1
+        running[rejected[tries[rejected] == 10]] = False
+
+        moved = idx[accepted]
+        q[moved], rn[moved] = q_new[accepted], rn_new[better]
+        lam[moved] = np.where(lam[moved] < 1e-10, 0.0, lam[moved] / 10.0)
+        tries[moved] = 0
+        steps[moved] += 1
+        gram[moved], grad[moved] = _normal_equations(jac_new[better], r_new[better])
+        stop = (
+            (_norms(delta[accepted]) <= 1e-15 * (1.0 + _norms(q[moved])))
+            | (steps[moved] == 60)
+            | (rn[moved] <= 1e-15)
+        )
+        running[moved[stop]] = False
+    return q, rn, ~failed
+
+
+def _first_copies(rows: np.ndarray) -> np.ndarray:
+    """The rows with no bit-identical row before them, in their order.
+
+    A later copy of a row sorts after it and lies at distance 0 from it, so
+    the merge never keeps the copy; dropping it early keeps a search's
+    memory in proportion to its distinct converged points, not its seeds.
+    """
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * 3)))
+    _, first = np.unique(keys[:, 0], return_index=True)
+    return rows[np.sort(first)]
 
 
 def find_singular_points(
@@ -177,7 +226,8 @@ def find_singular_points(
 
     ``search_box`` is (umin, umax, vmin, vmax); ``grid`` x ``grid`` seeds are
     refined and converged points with residual <= tol_singular are merged
-    within radius 1e-6 and sorted by residual.
+    within radius 1e-6 and sorted by residual.  The seeds are refined
+    together, ``SEED_BLOCK`` at a time.
     """
     umin, umax, vmin, vmax = (float(x) for x in search_box)
     if not (umin < umax and vmin < vmax):
@@ -187,20 +237,24 @@ def find_singular_points(
     mu = 0.5 * (umax - umin)
     mv = 0.5 * (vmax - vmin)
     bounds = (umin - mu, umax + mu, vmin - mv, vmax + mv)
+    seeds_u = np.linspace(umin, umax, grid)
+    seeds_v = np.linspace(vmin, vmax, grid)
 
-    accepted: list[tuple[float, float, float]] = []
-    for su in np.linspace(umin, umax, grid):
-        for sv in np.linspace(vmin, vmax, grid):
-            result = _refine_seed(defn, np.array([su, sv]), bounds, parameters)
-            if result is None:
-                continue
-            q, rn = result
-            if rn <= tol_singular:
-                accepted.append((rn, float(q[0]), float(q[1])))
-
-    accepted.sort()
+    found = []
+    with np.errstate(all="ignore"):
+        for start in range(0, grid * grid, SEED_BLOCK):
+            index = np.arange(start, min(start + SEED_BLOCK, grid * grid))
+            block = np.column_stack([seeds_u[index // grid], seeds_v[index % grid]])
+            q, rn, evaluated = _gauss_newton(defn, block, bounds, parameters)
+            keep = evaluated & (rn <= tol_singular)
+            found.append(_first_copies(np.column_stack([rn[keep], q[keep]])))
+    # rows (residual, u, v) in seed order, sorted stably as tuples sort:
+    # by residual, then u, then v
+    accepted = _first_copies(np.concatenate(found))
+    accepted = accepted[np.lexsort(accepted.T[::-1])]
     merged: list[tuple[float, float, float]] = []
-    for rn, qu, qv in accepted:
+    for row in accepted:
+        rn, qu, qv = row.tolist()
         if any(
             (qu - pu) ** 2 + (qv - pv) ** 2 <= MERGE_RADIUS**2
             for _, pu, pv in merged

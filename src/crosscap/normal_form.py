@@ -75,10 +75,6 @@ class CrossCapFrame:
         if abs(np.linalg.det(rows) - 1.0) > 1e-10:
             raise ContractViolationError("frame is not right-handed")
 
-    @classmethod
-    def standard(cls, origin=(0.0, 0.0, 0.0)) -> "CrossCapFrame":
-        return cls(origin, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
     def rotation_rows(self) -> np.ndarray:
         """The orthogonal matrix with rows e1, e2, e3 (target -> adapted)."""
         return np.vstack([self.e1, self.e2, self.e3])

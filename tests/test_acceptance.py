@@ -190,7 +190,7 @@ def test_criterion_3_symmetry_classification():
             NormalForm(
                 a=Jet2(order, a_arr),
                 b=Jet1(b_arr),
-                frame=CrossCapFrame.standard(),
+                frame=CrossCapFrame(np.zeros(3), *np.eye(3)),
                 source_change=(Jet2.var_u(order), Jet2.var_v(order)),
                 working_order=order,
             )

@@ -7,12 +7,17 @@ frozen golden files, which pins the stable field order and float formatting.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+import crosscap
+from crosscap import cli
 from crosscap.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -377,6 +382,18 @@ def test_transport_reports_fixed_points_per_motion(capsys):
     assert cap["transported"]["invariants"]["b_3"] == -1
 
 
+def test_transport_does_not_classify(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("transport reports no verdict")
+
+    argv = ["transport", "--map", _fixture("example_cubic.json"), "--motion", "T1"]
+    expected = _run(capsys, argv)
+    monkeypatch.setattr(cli, "classify_symmetries", refuse)
+    assert _run(capsys, argv) == expected
+    with pytest.raises(AssertionError):
+        main(["classify", "--map", _fixture("example_cubic.json")])
+
+
 def test_transport_requires_the_motion_flag(capsys):
     rc, payload, _ = _run_json(
         capsys, ["transport", "--map", _fixture("example_cubic.json")]
@@ -462,3 +479,46 @@ def test_version_flag_prints_the_package_version(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.strip() == crosscap.__version__
+
+
+# ---------------------------------------------------------------------------
+# one process, many requests
+
+
+_REQUESTS = (
+    ["analyze", "--map", _fixture("example_cubic.json")],
+    ["selfint", "--map", _fixture("standard.json"), "--span", "0.2", "--step", "0.05"],
+    ["mesh", "--map", _fixture("standard.json"), "--grid", "4"],
+    ["analyze", "--map", _fixture("bad_parse.json")],
+    ["--version"],
+)
+
+
+def _fresh_process(argv):
+    env = dict(os.environ)
+    src = str(Path(crosscap.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "crosscap.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _same_process(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse ends --version with exit(0)
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_repeated_requests_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process and shared by every request
+    assert cli._build_parser() is cli._build_parser()
+    expected = [_fresh_process(argv) for argv in _REQUESTS]
+    assert [rc for rc, _, _ in expected] == [0, 0, 0, 1, 0]
+    for _ in range(2):
+        for argv, want in zip(_REQUESTS, expected):
+            assert _same_process(capsys, argv) == want

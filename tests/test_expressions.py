@@ -20,6 +20,7 @@ from crosscap.expressions import (
     eval_expr_jet,
     eval_expr_point,
     eval_map_jet,
+    eval_map_jets,
     eval_map_point,
     expr_to_text,
     parse_expr,
@@ -430,3 +431,65 @@ def test_evaluation_is_finite_or_a_domain_error_property(expr, u, v, params):
             continue
         assert np.isfinite(jet.base_value).all()
         assert all(np.isfinite(c.coeffs).all() for c in jet.components)
+
+
+def _assert_batch_matches_each_point(defn, bases, order):
+    outcomes = []
+    for u, v in bases:
+        try:
+            outcomes.append(eval_map_jet(defn, (u, v), order))
+        except JetDomainError:
+            outcomes.append(None)
+        except UnboundParameterError:
+            outcomes.append(UnboundParameterError)
+    if UnboundParameterError in outcomes:
+        with pytest.raises(UnboundParameterError):
+            eval_map_jets(defn, bases, order)
+        return
+    coeffs, failed = eval_map_jets(defn, bases, order)
+    assert failed.tolist() == [jet is None for jet in outcomes]
+    for jet, got in zip(outcomes, coeffs):
+        if jet is not None:
+            want = np.stack([c.coeffs for c in jet.components])
+            want[:, 0, 0] = jet.base_value
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.tuples(_TREES, _TREES, _TREES),
+    st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.dictionaries(st.sampled_from(["a", "c", "sin"]), _COORDINATES),
+)
+def test_batched_jets_match_each_point_bit_for_bit_property(trees, points, order, params):
+    defn = MapDefinition(trees, params)
+    _assert_batch_matches_each_point(defn, np.array(points + [(-0.0, 0.0)]), order)
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        "log(u)^0",  # a failure survives a zeroth power
+        "sin(log(u))",  # and a function of the failed value
+        "-log(u) + v",
+        "sin(-u) + cos(-v)",
+        "(u - 1)^-2 + sqrt(v + 1)",
+        "exp(700*u)",  # math.exp overflows at u = 1.5 alone
+    ],
+)
+def test_batched_jets_match_at_failures_and_signed_zeros(component):
+    defn = parse_map_definition(["u", "v", component])
+    bases = np.array([[-1.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [1.0, -1.0], [1.5, 0.25]])
+    for order in (1, 2, 3):
+        _assert_batch_matches_each_point(defn, bases, order)
+
+
+def test_batched_jets_reach_a_parameter_only_from_a_point_that_holds():
+    # every point fails in the first component, so the unbound c is never read
+    defn = parse_map_definition(["sqrt(u - 5)", "v", "c"])
+    coeffs, failed = eval_map_jets(defn, np.array([[0.0, 0.0], [1.0, 2.0]]), 2)
+    assert failed.tolist() == [True, True]
+    defn = parse_map_definition(["sqrt(u)", "v", "c"])
+    with pytest.raises(UnboundParameterError):
+        eval_map_jets(defn, np.array([[-1.0, 0.0], [1.0, 2.0]]), 2)

@@ -317,10 +317,10 @@ def test_invariant_labels_and_order():
 
 
 def test_normal_form_validation():
-    frame = CrossCapFrame.standard()
+    frame = CrossCapFrame(np.zeros(3), *np.eye(3))
     ident = (Jet2.var_u(4), Jet2.var_v(4))
     good_a = Jet2.from_terms(4, {(0, 2): 1.0})
-    good_b = Jet1.zeros(4)
+    good_b = Jet1(np.zeros(5))
     NormalForm(good_a, good_b, frame, ident, 4)
     with pytest.raises(ContractViolationError):
         NormalForm(Jet2.from_terms(4, {(0, 2): -1.0}), good_b, frame, ident, 4)

@@ -71,7 +71,7 @@ def _random_normal_form(rng, order=4, symmetrize=None):
     return NormalForm(
         a=Jet2(n, a_arr),
         b=Jet1(b_arr),
-        frame=CrossCapFrame.standard(),
+        frame=CrossCapFrame(np.zeros(3), *np.eye(3)),
         source_change=(Jet2.var_u(n), Jet2.var_v(n)),
         working_order=n,
     )
@@ -122,7 +122,7 @@ def test_residual_is_the_largest_violating_coefficient():
     nf = NormalForm(
         a=Jet2(n, a_arr),
         b=Jet1(b_arr),
-        frame=CrossCapFrame.standard(),
+        frame=CrossCapFrame(np.zeros(3), *np.eye(3)),
         source_change=(Jet2.var_u(n), Jet2.var_v(n)),
         working_order=n,
     )
