@@ -14,6 +14,7 @@ E_PARSE error, 2 for every other failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from . import __version__
 from .double_points import (
     curve_to_csv,
     format_float,
+    format_rows,
     trace_double_points,
     transversality_check,
 )
@@ -48,7 +50,7 @@ from .errors import (
     UnboundParameterError,
     WhitneyFailError,
 )
-from .expressions import eval_map_point, parse_map_definition
+from .expressions import eval_map_point, eval_map_points, parse_map_definition
 from .locate import DEFAULT_TOL_SINGULAR, align_kernel, find_singular_points
 from .normal_form import (
     DEFAULT_ORDER,
@@ -61,6 +63,10 @@ from .normal_form import (
 from .symmetry import DEFAULT_TOL_SYMMETRY, classify_symmetries
 
 TANGENCY_ANGLE = 1e-3
+# work budgets: the search and mesh take time growing with grid squared,
+# and the tracer with span / step
+MAX_GRID = 1000
+MAX_ARC_STEPS = 10_000
 
 _DEFAULTS = {
     "order": DEFAULT_ORDER,
@@ -248,8 +254,8 @@ def _load_request(args: argparse.Namespace) -> dict:
     if not isinstance(order, int) or not (3 <= order <= MAX_ORDER):
         raise _InputError(f"order must be an integer in [3, {MAX_ORDER}], got {order!r}")
     grid = request["grid"]
-    if not isinstance(grid, int) or grid < 2:
-        raise _InputError(f"grid must be an integer >= 2, got {grid!r}")
+    if not isinstance(grid, int) or not (2 <= grid <= MAX_GRID):
+        raise _InputError(f"grid must be an integer in [2, {MAX_GRID}], got {grid!r}")
     box = request["box"] = _finite_numbers(request["box"], "box")
     if len(box) != 4:
         raise _InputError("box must be four numbers [umin, umax, vmin, vmax]")
@@ -445,6 +451,8 @@ def cmd_transport(args) -> int:
 
 def cmd_selfint(args) -> int:
     request = _load_request(args)
+    if request["span"] / request["step"] > MAX_ARC_STEPS:
+        raise _InputError(f"span / step must be at most {MAX_ARC_STEPS}")
     defn = parse_map_definition(request["components"])
     combo = _require_scalar_parameters(request, "selfint")
     points = _candidate_points(defn, request, combo)
@@ -475,13 +483,21 @@ def cmd_mesh(args) -> int:
     combo = _require_scalar_parameters(request, "mesh")
     umin, umax, vmin, vmax = request["box"]
     grid = request["grid"]
-    lines = ["u,v,x,y,z"]
-    for u in np.linspace(umin, umax, grid):
-        for v in np.linspace(vmin, vmax, grid):
-            image = eval_map_point(defn, float(u), float(v), combo)
-            fields = (float(u), float(v), image[0], image[1], image[2])
-            lines.append(",".join(format_float(x) for x in fields))
-    _emit("\n".join(lines) + "\n", args.out)
+    # one row per sample, u outer and v inner
+    us = np.repeat(np.linspace(umin, umax, grid), grid)
+    vs = np.tile(np.linspace(vmin, vmax, grid), grid)
+    images, failed = eval_map_points(defn, us, vs, combo)
+    failed |= ~np.isfinite(us) | ~np.isfinite(vs)
+    if failed.any():
+        # the first failing row fails as it does on its own: in the map, or
+        # in a coordinate that is not finite
+        first = int(np.argmax(failed))
+        eval_map_point(defn, float(us[first]), float(vs[first]), combo)
+        raise ContractViolationError("report fields must be finite")
+    rows = format_rows(np.column_stack([us, vs, images]))
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("u,v,x,y,z\n")
+        fh.writelines(rows)
     return 0
 
 

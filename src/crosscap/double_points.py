@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     SingularPointError,
     StepCollapseError,
 )
-from .expressions import MapDefinition, eval_map_jet
+from .expressions import MapDefinition, eval_map_jet1
 from .jets import diffeo_invert
 from .locate import CrossCapCertificate
 from .normal_form import reduce_to_normal_form
@@ -40,6 +41,7 @@ __all__ = [
 
 RESIDUAL_BOUND = 1e-8
 _CORRECTOR_TOL = 1e-11
+_ROW_BLOCK = 4096
 
 
 def _normal(f_u: np.ndarray, f_v: np.ndarray, q: tuple[float, float]) -> np.ndarray:
@@ -64,8 +66,8 @@ def unit_normal(
     Public, as the README's module table lists it; ``transversality_check``
     uses the same ``_normal`` on the Jacobians the tracer keeps.
     """
-    jet = eval_map_jet(defn, q, 1, parameters)
-    return _normal(jet.f_u(), jet.f_v(), q)
+    _, jac = eval_map_jet1(defn, q, parameters)
+    return _normal(jac[:, 0], jac[:, 1], q)
 
 
 @dataclass(frozen=True)
@@ -135,11 +137,9 @@ class _DoubledSystem:
 
     def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q, qp = self.split(x)
-        ja = eval_map_jet(self.defn, (q[0], q[1]), 1, self.parameters)
-        jb = eval_map_jet(self.defn, (qp[0], qp[1]), 1, self.parameters)
-        fa = np.array(ja.base_value)
-        fb = np.array(jb.base_value)
-        jac = np.hstack([ja.jacobian(), -jb.jacobian()])
+        fa, ja = eval_map_jet1(self.defn, (q[0], q[1]), self.parameters)
+        fb, jb = eval_map_jet1(self.defn, (qp[0], qp[1]), self.parameters)
+        jac = np.hstack([ja, -jb])
         return fa - fb, jac, 0.5 * (fa + fb)
 
 
@@ -370,29 +370,36 @@ def transversality_check(curve: DoublePointCurve) -> np.ndarray:
 
 def curve_to_csv(curve: DoublePointCurve) -> str:
     """CSV export with columns s, u, v, u', v', x, y, z, residual."""
-    lines = ["s,u,v,u',v',x,y,z,residual"]
-    for sample in curve.samples:
-        fields = (
-            sample.s,
-            sample.q[0],
-            sample.q[1],
-            sample.q_prime[0],
-            sample.q_prime[1],
-            sample.image[0],
-            sample.image[1],
-            sample.image[2],
-            sample.residual,
-        )
-        lines.append(",".join(format_float(x) for x in fields))
-    return "\n".join(lines) + "\n"
+    table = np.array(
+        [
+            (sample.s, *sample.q, *sample.q_prime, *sample.image, sample.residual)
+            for sample in curve.samples
+        ],
+        dtype=float,
+    ).reshape(-1, 9)
+    return "s,u,v,u',v',x,y,z,residual\n" + "".join(format_rows(table))
 
 
 def format_float(x: float) -> str:
     """The one number format of every report and CSV: 17 significant
     digits, -0.0 written as 0, and non-finite values refused."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ContractViolationError("report fields must be finite")
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return format(x, ".17g")
+
+
+def format_rows(table: np.ndarray) -> Iterator[str]:
+    """The CSV rows of a 2-D float table, each value as ``format_float``
+    writes it, made ``_ROW_BLOCK`` rows at a time so that a large table is
+    never held as text."""
+    if not np.isfinite(table).all():
+        raise ContractViolationError("report fields must be finite")
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    blocks = (
+        table[start : start + _ROW_BLOCK] + 0.0  # -0.0 written as 0
+        for start in range(0, len(table), _ROW_BLOCK)
+    )
+    return (row % tuple(values) for block in blocks for values in block.tolist())

@@ -4,7 +4,10 @@ The grammar is deliberately small.  Precedence from loosest to tightest:
 ``+ -``, then ``* /``, then unary ``-``, then ``^``.  The binary operators
 ``+ - * /`` associate to the left.  Exponents of ``^`` must be integer
 constants of magnitude at most 100 (optionally negated or parenthesized),
-so chained powers are rejected at parse time.  The names ``u`` and ``v``
+so chained powers are rejected at parse time.  Parentheses, calls and unary
+minus signs nest at most ``MAX_NESTING`` deep, and the tree is at most
+``MAX_DEPTH`` operators deep, so that neither the parser nor a walk of the
+tree outgrows Python's recursion limit.  The names ``u`` and ``v``
 are the surface parameters; any other identifier is a free parameter,
 except a known function name (sin, cos, exp, log, sqrt) directly followed
 by ``(``.  Implicit multiplication is not accepted: ``c*u^2``, never
@@ -22,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import JetDomainError, ParseError, UnboundParameterError
-from .jets import Jet2, MapJet3, _JetBatch, elementary
+from .jets import Jet2, MapJet3, _Jet2Order1, _JetBatch, elementary
 
 __all__ = [
     "Binary",
@@ -35,8 +38,10 @@ __all__ = [
     "eval_expr_jet",
     "eval_expr_point",
     "eval_map_jet",
+    "eval_map_jet1",
     "eval_map_jets",
     "eval_map_point",
+    "eval_map_points",
     "expr_to_text",
     "parse_expr",
     "parse_map_definition",
@@ -46,6 +51,11 @@ _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 _VARIABLES = ("u", "v")
 # a power of m costs m jet products, so m is bounded at parse time
 MAX_EXPONENT = 100
+# the parser recurses five frames deep per parenthesis or call, and every
+# walk of the tree one frame per operator; at these bounds analyze, selfint
+# and mesh all run within Python's default recursion limit of 1000
+MAX_NESTING = 150
+MAX_DEPTH = 800
 
 
 @dataclass(frozen=True)
@@ -118,9 +128,13 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent; ``parse_sum`` down to ``parse_atom`` return a
+    tree and its height in operators."""
+
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.nesting = 0  # open parentheses, calls and unary minus signs
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -139,6 +153,26 @@ class _Parser:
             self.fail(f"expected {text!r}")
         self.advance()
 
+    def enter(self, tok: _Token) -> None:
+        """Open one more level of parentheses, calls or minus signs at ``tok``."""
+        if self.nesting >= MAX_NESTING:
+            raise ParseError(
+                f"parentheses, calls and minus signs nest deeper than {MAX_NESTING}",
+                tok.offset,
+            )
+        self.nesting += 1
+
+    def leave(self) -> None:
+        self.nesting -= 1
+
+    def deeper(self, height: int, tok: _Token) -> int:
+        """The height of the operator at ``tok`` over a child of ``height``."""
+        if height >= MAX_DEPTH:
+            raise ParseError(
+                f"expression is more than {MAX_DEPTH} operators deep", tok.offset
+            )
+        return height + 1
+
     def number(self) -> float:
         tok = self.advance()
         value = float(tok.text)
@@ -147,7 +181,7 @@ class _Parser:
         return value
 
     def parse(self) -> Expr:
-        expr = self.parse_sum()
+        expr, _ = self.parse_sum()
         tok = self.peek()
         if tok.kind != "end":
             self.fail(
@@ -155,29 +189,40 @@ class _Parser:
             )
         return expr
 
-    def parse_sum(self) -> Expr:
-        left = self.parse_product()
+    def parse_sum(self) -> tuple[Expr, int]:
+        left, height = self.parse_product()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = "add" if self.advance().text == "+" else "sub"
-            left = Binary(op, left, self.parse_product())
-        return left
+            tok = self.advance()
+            op = "add" if tok.text == "+" else "sub"
+            right, right_height = self.parse_product()
+            left = Binary(op, left, right)
+            height = self.deeper(max(height, right_height), tok)
+        return left, height
 
-    def parse_product(self) -> Expr:
-        left = self.parse_unary()
+    def parse_product(self) -> tuple[Expr, int]:
+        left, height = self.parse_unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = "mul" if self.advance().text == "*" else "div"
-            left = Binary(op, left, self.parse_unary())
-        return left
+            tok = self.advance()
+            op = "mul" if tok.text == "*" else "div"
+            right, right_height = self.parse_unary()
+            left = Binary(op, left, right)
+            height = self.deeper(max(height, right_height), tok)
+        return left, height
 
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
+    def parse_unary(self) -> tuple[Expr, int]:
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.enter(tok)
             self.advance()
-            return Unary("neg", self.parse_unary())
+            child, height = self.parse_unary()
+            self.leave()
+            return Unary("neg", child), self.deeper(height, tok)
         return self.parse_power()
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+    def parse_power(self) -> tuple[Expr, int]:
+        base, height = self.parse_atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
             self.advance()
             offset = self.peek().offset
             exponent = self.parse_exponent()
@@ -185,18 +230,21 @@ class _Parser:
                 raise ParseError(
                     f"exponent {exponent} exceeds {MAX_EXPONENT} in magnitude", offset
                 )
-            return Binary("pow", base, Constant(float(exponent)))
-        return base
+            power = Binary("pow", base, Constant(float(exponent)))
+            return power, self.deeper(height, tok)
+        return base, height
 
     def parse_exponent(self) -> int:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if tok.kind == "op" and tok.text in "-(":
+            self.enter(tok)
             self.advance()
-            return -self.parse_exponent()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            value = self.parse_exponent()
-            self.expect_op(")")
+            if tok.text == "-":
+                value = -self.parse_exponent()
+            else:
+                value = self.parse_exponent()
+                self.expect_op(")")
+            self.leave()
             return value
         if tok.kind == "number":
             value = self.number()
@@ -206,29 +254,33 @@ class _Parser:
         self.fail("expected an integer exponent")
         raise AssertionError("unreachable")
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "number":
-            return Constant(self.number())
+            return Constant(self.number()), 0
         if tok.kind == "ident":
             self.advance()
             name = tok.text
             if name in _VARIABLES:
-                return Var(name)
+                return Var(name), 0
             follows_paren = (
                 self.peek().kind == "op" and self.peek().text == "("
             )
             if name in _FUNCTIONS and follows_paren:
+                self.enter(tok)
                 self.advance()
-                child = self.parse_sum()
+                child, height = self.parse_sum()
                 self.expect_op(")")
-                return Unary(name, child)
-            return Parameter(name)
+                self.leave()
+                return Unary(name, child), self.deeper(height, tok)
+            return Parameter(name), 0
         if tok.kind == "op" and tok.text == "(":
+            self.enter(tok)
             self.advance()
-            expr = self.parse_sum()
+            expr, height = self.parse_sum()
             self.expect_op(")")
-            return expr
+            self.leave()
+            return expr, height
         self.fail("expected a number, a name, or a parenthesized expression")
         raise AssertionError("unreachable")
 
@@ -308,12 +360,100 @@ def _jet_function(name: str, jet: Jet2) -> Jet2:
 _JET_FUNCTIONS = {name: partial(_jet_function, name) for name in _FUNCTIONS}
 
 
-def _batch_function(name: str, batch: _JetBatch) -> _JetBatch:
-    value, rest = batch.split_constant()
+def _method_function(name: str, jet):
+    """For the value types whose ``elementary`` is a method: ``_JetBatch``
+    and ``_Jet2Order1``."""
+    value, rest = jet.split_constant()
     return rest.elementary(name, value)
 
 
-_BATCH_FUNCTIONS = {name: partial(_batch_function, name) for name in _FUNCTIONS}
+_METHOD_FUNCTIONS = {name: partial(_method_function, name) for name in _FUNCTIONS}
+
+
+def _guarded(fn):
+    """``fn`` on one element, giving None for what it raises."""
+
+    def call(*args):
+        try:
+            return fn(*args)
+        except (ArithmeticError, ValueError):
+            return None
+
+    return call
+
+
+_ELEMENTWISE_POW = np.frompyfunc(_guarded(operator.pow), 2, 1)
+_ELEMENTWISE = {
+    name: np.frompyfunc(_guarded(fn), 1, 1) for name, fn in _POINT_FUNCTIONS.items()
+}
+
+
+def _parts(x) -> tuple:
+    return (x.values, x.failed) if isinstance(x, _Samples) else (x, False)
+
+
+def _combine(op, left, right) -> "_Samples":
+    """``left op right`` for ``+ - * /`` with at least one side ``_Samples``."""
+    (a, a_failed), (b, b_failed) = _parts(left), _parts(right)
+    failed = a_failed | b_failed
+    if op is operator.truediv:
+        failed = failed | (b == 0.0)
+    return _Samples(op(a, b), failed)
+
+
+def _operator_pair(op):
+    """The method for ``op`` and its reflected method, which takes a float
+    on the left."""
+    return (
+        lambda self, other: _combine(op, self, other),
+        lambda self, other: _combine(op, other, self),
+    )
+
+
+class _Samples:
+    """Point values at many points at once, for ``mesh``.
+
+    ``values`` holds one float64 per point and ``failed`` marks the points
+    where ``eval_expr_point`` raises on the way to this value.  ``+ - *
+    /`` and unary ``-`` are numpy's, which round as Python's float
+    operations do.  Integer powers and the functions run through Python
+    element by element, since numpy's ``**`` can differ in the last bit.  As
+    with Python floats, an inf or nan on the way fails no point; a zero
+    divisor fails it, and so does an error from ``pow`` or ``math``.
+    Constants stay Python floats.  Callers silence numpy's warnings.
+    """
+
+    __slots__ = ("values", "failed")
+
+    def __init__(self, values: np.ndarray, failed: np.ndarray):
+        self.values = values
+        self.failed = failed
+
+    __add__, __radd__ = _operator_pair(operator.add)
+    __sub__, __rsub__ = _operator_pair(operator.sub)
+    __mul__, __rmul__ = _operator_pair(operator.mul)
+    __truediv__, __rtruediv__ = _operator_pair(operator.truediv)
+
+    def __neg__(self) -> "_Samples":
+        return _Samples(-self.values, self.failed)
+
+    def __pow__(self, m: int) -> "_Samples":
+        return self.per_element(_ELEMENTWISE_POW, m)
+
+    def per_element(self, ufunc, *args) -> "_Samples":
+        out = ufunc(self.values, *args)
+        error = out == None  # noqa: E711 -- elementwise on an object array
+        out[error] = math.nan
+        return _Samples(out.astype(float), self.failed | error)
+
+
+def _sample_function(name: str, x):
+    if isinstance(x, _Samples):
+        return x.per_element(_ELEMENTWISE[name])
+    return _POINT_FUNCTIONS[name](x)
+
+
+_SAMPLE_FUNCTIONS = {name: partial(_sample_function, name) for name in _FUNCTIONS}
 
 
 def _lookup(name: str, params: dict[str, float]) -> float:
@@ -324,8 +464,8 @@ def _lookup(name: str, params: dict[str, float]) -> float:
 
 
 def _evaluate(expr: Expr, leaves: tuple, number, functions: dict, params: dict):
-    """The one walk of an expression tree, over floats, ``Jet2`` values or
-    batches of them.
+    """The one walk of an expression tree, over floats, ``Jet2`` values,
+    order-1 jets, batches of jets or arrays of points.
 
     ``leaves`` are the values of u and v, ``number`` makes a value from a
     float and ``functions`` maps each function name to its action on values.
@@ -497,7 +637,7 @@ def eval_map_jets(
         with np.errstate(all="ignore"):
             for index, comp in enumerate(defn.components):
                 leaves = (_JetBatch(base_u, failed), _JetBatch(base_v, failed))
-                value = _evaluate(comp, leaves, number, _BATCH_FUNCTIONS, params)
+                value = _evaluate(comp, leaves, number, _METHOD_FUNCTIONS, params)
                 failed = failed | value.failed
                 out[:, index] = value.coeffs
     except JetDomainError:
@@ -516,3 +656,60 @@ def eval_map_point(
     return np.array(
         _by_component(defn, lambda comp: eval_expr_point(comp, u, v, params))
     )
+
+
+def eval_map_points(
+    defn: MapDefinition,
+    us: np.ndarray,
+    vs: np.ndarray,
+    parameters: dict[str, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_map_point`` at the points ``(us[i], vs[i])`` at once.
+
+    Returns the images, shape ``(points, 3)``, and a mask of the points
+    where ``eval_map_point`` raises.  At every other point the image is bit
+    for bit that of ``eval_map_point``.  A part of a component with no u or
+    v in it that raises, and an unbound parameter, fail every point, as
+    they make ``eval_map_point`` raise at every point.
+    """
+    params = defn.bound_parameters(parameters)
+    count = len(us)
+    out = np.empty((count, 3))
+    failed = np.zeros(count, bool)
+    leaves = (
+        _Samples(np.asarray(us, float), failed),
+        _Samples(np.asarray(vs, float), failed),
+    )
+    try:
+        with np.errstate(all="ignore"):
+            for index, comp in enumerate(defn.components):
+                values, bad = _parts(
+                    _evaluate(comp, leaves, float, _SAMPLE_FUNCTIONS, params)
+                )
+                out[:, index] = values
+                failed = failed | bad | ~np.isfinite(out[:, index])
+    except (JetDomainError, UnboundParameterError):
+        failed = np.ones(count, bool)
+    return out, failed
+
+
+def eval_map_jet1(
+    defn: MapDefinition,
+    base: tuple[float, float],
+    parameters: dict[str, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The image and the 3x2 Jacobian at ``base``, for the tracer.
+
+    Bit for bit the ``base_value`` and ``jacobian()`` of
+    ``eval_map_jet(defn, base, 1, parameters)``, with the same errors, from
+    three floats per value instead of 2x2 arrays.
+    """
+    leaves = _Jet2Order1.variables(base)
+    params = defn.bound_parameters(parameters)
+    jets = _by_component(
+        defn,
+        lambda comp: _evaluate(
+            comp, leaves, _Jet2Order1.constant, _METHOD_FUNCTIONS, params
+        ),
+    )
+    return np.array([j.value for j in jets]), np.array([[j.du, j.dv] for j in jets])

@@ -5,6 +5,7 @@ checked both semantically (parsed JSON fields) and byte-for-byte against
 frozen golden files, which pins the stable field order and float formatting.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -18,7 +19,8 @@ import pytest
 
 import crosscap
 from crosscap import cli
-from crosscap.cli import main
+from crosscap.cli import MAX_ARC_STEPS, MAX_GRID, main
+from crosscap.expressions import MAX_DEPTH, MAX_NESTING
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -464,6 +466,175 @@ def test_mesh_samples_the_grid_with_exact_corners(capsys, tmp_path):
     assert len(lines) == 26
     assert lines[1] == "-1,-1,-1,1,1"
     assert lines[-1] == "1,1,1,1,1"
+
+
+# sha256 of outputs written by the per-point mesh loop and the Jet2-valued
+# tracer, before either evaluated through arrays or order-1 jets; the mesh
+# has 3,601 lines, the curves about 1,000
+_PINNED = {
+    ("mesh", "example_cubic.json"): "8f060ba4798910a2c82fde27d326d6f06fa3ab54d8a9eb9a7d25bb0da81e23d8",
+    ("mesh", "example_quartic.json"): "a848cdde367e5f63b3a5c1dc817c8d6132a54f8a30821b2f640f9421f2366317",
+    ("mesh", "functions.json"): "25f7b3803459ea9149b5145827c970526bd8b5c049219e76e40c45884d2bd14c",
+    ("mesh", "powers.json"): "de207c6201170fb925779b65c1cf1830f82d84df00607199dee514f932d1e535",
+    ("selfint", "example_cubic.json"): "d37d76859d8526ac3a8ab621fb599f69e643d6d91f3e261e769428db1d429a2f",
+    ("selfint", "example_quartic.json"): "fa6506748a4b43b7d85eebc8424cfdfea69f2ef34f1342b602df29ce41de61f8",
+    ("selfint", "functions.json"): "739de512fbb7cbd4ae00dc8e66b7225fae0de998e5643be96f789f1cd12b02f2",
+}
+_PINNED_FLAGS = {"mesh": ["--grid", "60"], "selfint": ["--step", "0.002"]}
+
+
+@pytest.mark.parametrize("command, fixture", sorted(_PINNED))
+def test_mesh_and_curve_keep_their_pinned_bytes(capsys, command, fixture):
+    rc, out, err = _run(
+        capsys, [command, "--map", _fixture(fixture), *_PINNED_FLAGS[command]]
+    )
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[command, fixture]
+
+
+def test_mesh_writes_the_same_bytes_to_a_file_and_to_stdout(capsys, tmp_path):
+    out = tmp_path / "mesh.csv"
+    argv = ["mesh", "--map", _fixture("functions.json"), "--grid", "70"]
+    rc, text, _ = _run(capsys, argv)
+    assert rc == 0
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == text.encode()
+    # more rows than one written block
+    assert len(text.splitlines()) == 70 * 70 + 1
+
+
+@pytest.mark.parametrize(
+    "components, box, grid, message",
+    [
+        # 1e308*10*u is inf without an error; 1/inf is 0, 1/nan is not finite
+        (["u", "v", "1/(1e308*10*u)"], "0,0.5,0,1", 2,
+         "component 3: value nan is beyond float range"),
+        (["u", "v", "1/(1/u)"], "-1,1,-1,1", 3, "component 3: float division by zero"),
+        (["u", "v", "(2*u)^-1"], "-1,1,-1,1", 3,
+         "component 3: 0.0 cannot be raised to a negative power"),
+        (["u", "exp(-exp(1000*u))", "v"], "0,1,0,1", 2, "component 2: math range error"),
+        (["sqrt(u - 0.5)", "v", "u"], "0,1,0,1", 3, "component 1: math domain error"),
+        # the first failing row names the first component that fails in it
+        (["u", "u*v^-1", "log(v)"], "-1,1,-1,1", 3, "component 3: math domain error"),
+        # a part with no u or v in it fails every row
+        (["u", "v", "1e200^2*u"], "0,1,0,1", 2,
+         "component 3: (34, 'Numerical result out of range')"),
+        (["1/v", "c*v", "u"], "-1,1,-1,1", 3, "parameter 'c' is not bound"),
+        (["1/v", "c*v", "u"], "-1,1,0,1", 2, "component 1: float division by zero"),
+        # a box too wide for linspace: the first row's u is nan
+        (["0", "v", "0"], "-1e308,1e308,-1,1", 3, "report fields must be finite"),
+        (["u", "v", "0"], "-1e308,1e308,-1,1", 3,
+         "component 1: value nan is beyond float range"),
+    ],
+)
+def test_a_failing_mesh_row_gives_its_own_message(capsys, tmp_path, components, box, grid, message):
+    request = _request_file(tmp_path, {"components": components})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # linspace over 1e308
+        rc, payload, err = _run_json(
+            capsys, ["mesh", "--map", request, f"--box={box}", "--grid", str(grid)]
+        )
+    assert rc == 1
+    assert payload["error"] == {"code": "E_PARSE", "message": message}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "components, box, rows",
+    [
+        (["u", "v", "1/(1e308*10*u)"], "0.5,1,0,1",
+         ["0.5,0,0.5,0,0", "0.5,1,0.5,1,0", "1,0,1,0,0", "1,1,1,1,0"]),
+        (["u", "exp(-exp(1000*u))", "v"], "-1,0,0,1",
+         ["-1,0,-1,1,0", "-1,1,-1,1,1", "0,0,0,0.36787944117144233,0",
+          "0,1,0,0.36787944117144233,1"]),
+        (["u", "1/exp(1e308*10*u)", "1/(1e308*10*v)^2"], "0.5,1,0.5,1",
+         ["0.5,0.5,0.5,0,0", "0.5,1,0.5,0,0", "1,0.5,1,0,0", "1,1,1,0,0"]),
+        # nan^0 is 1 in Python, so a nan on the way need not fail a row
+        (["u", "v", "0^0 + u^0*(1e308*10*u - 1e308*10*u)^0"], "0,1,0,1",
+         ["0,0,0,0,2", "0,1,0,1,2", "1,0,1,0,2", "1,1,1,1,2"]),
+        (["u", "v", "u*v"], "-0.0,1,-0.0,1",
+         ["0,0,0,0,0", "0,1,0,1,0", "1,0,1,0,0", "1,1,1,1,1"]),
+    ],
+)
+def test_an_inf_on_the_way_fails_no_mesh_row(capsys, tmp_path, components, box, rows):
+    request = _request_file(tmp_path, {"components": components})
+    rc, out, err = _run(capsys, ["mesh", "--map", request, f"--box={box}", "--grid", "2"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["u,v,x,y,z", *rows]
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("analyze", ["--grid", str(MAX_GRID + 1)], f"grid must be an integer in [2, {MAX_GRID}]"),
+        ("mesh", ["--grid", str(MAX_GRID + 1)], f"grid must be an integer in [2, {MAX_GRID}]"),
+        ("selfint", ["--span", "1e6", "--step", "1e-7"], f"span / step must be at most {MAX_ARC_STEPS}"),
+        ("selfint", ["--span", "1", "--step", str(0.99 / MAX_ARC_STEPS)],
+         f"span / step must be at most {MAX_ARC_STEPS}"),
+    ],
+)
+def test_work_beyond_the_budget_is_refused_at_once(capsys, command, flags, message):
+    start = time.perf_counter()
+    rc, payload, _ = _run_json(
+        capsys, [command, "--map", _fixture("example_cubic.json"), *flags]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert payload["error"]["code"] == "E_PARSE"
+    assert message in payload["error"]["message"]
+
+
+def _deep_request(tmp_path, depth: int) -> str:
+    # a left-deep sum: the head is 6 operators deep, each added term one more
+    head = "sqrt(1 + v^2)^-2*exp(v)*v^2"
+    component = head + " + 0*u" * (depth - 6)
+    return _request_file(
+        tmp_path, {"components": ["u", "u*v + v^3", component], "point": [0, 0]}
+    )
+
+
+def _nested_request(tmp_path, nesting: int) -> str:
+    # calls and parentheses nested inside each other, exp(u) at the bottom
+    calls = (nesting - 1) // 2
+    parens = nesting - 1 - calls
+    inner = "(" * parens + "exp(u)" + ")" * parens
+    component = "v^2 + " + "sin(" * calls + inner + ")" * calls
+    return _request_file(
+        tmp_path, {"components": ["u", "u*v + v^3", component], "point": [0, 0]}
+    )
+
+
+_DEEP_COMMANDS = [
+    ["analyze"],
+    ["analyze", "--grid", "2"],
+    ["selfint", "--span", "0.2", "--step", "0.05"],
+    ["mesh", "--grid", "3"],
+]
+
+
+@pytest.mark.parametrize("command", _DEEP_COMMANDS, ids=lambda c: " ".join(c))
+@pytest.mark.parametrize("request_for", [_deep_request, _nested_request], ids=["deep", "nested"])
+def test_expressions_at_the_depth_bounds_run_and_deeper_ones_are_refused(
+    capsys, tmp_path, command, request_for
+):
+    bound = MAX_DEPTH if request_for is _deep_request else MAX_NESTING
+    request = request_for(tmp_path, bound)
+    if command == ["analyze", "--grid", "2"]:
+        # without the point the search runs over the batched jets
+        payload = json.loads(Path(request).read_text())
+        del payload["point"]
+        request = _request_file(tmp_path, payload)
+    rc, out, err = _run(capsys, [command[0], "--map", request, *command[1:]])
+    assert (rc, err) == (0, "")
+    if command[0] == "analyze":
+        assert json.loads(out)["entries"]
+    rc, payload, err = _run_json(
+        capsys, [command[0], "--map", request_for(tmp_path, bound + 1), *command[1:]]
+    )
+    assert rc == 1
+    assert payload["error"]["code"] == "E_PARSE"
+    assert "component 3" in payload["error"]["message"]
 
 
 def test_mesh_rejects_parameter_sweeps(capsys):

@@ -17,6 +17,7 @@ from crosscap.double_points import (
     _correct,
     _DoubledSystem,
     curve_to_csv,
+    format_float,
     trace_double_points,
     transversality_check,
     unit_normal,
@@ -249,3 +250,30 @@ def test_csv_export_round_trips_every_field():
         # .17g output reparses to the exact binary64 values
         assert fields == expected
         assert "-0," not in line and not line.startswith("-0,")
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (-0.0, "0"),
+        (0.0, "0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (-5e-324, "-4.9406564584124654e-324"),
+        (2.2250738585072009e-308, "2.2250738585072009e-308"),  # largest subnormal
+        (9999999999999998.0, "9999999999999998"),
+        (1e16, "10000000000000000"),
+        (1e16 + 2.0, "10000000000000002"),
+        (0.1, "0.10000000000000001"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+        (-1.7976931348623157e308, "-1.7976931348623157e+308"),
+        (np.float64(-0.0), "0"),
+    ],
+)
+def test_format_float_writes_17_significant_digits(value, text):
+    assert format_float(value) == text
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_format_float_refuses_non_finite_values(value):
+    with pytest.raises(ContractViolationError):
+        format_float(value)

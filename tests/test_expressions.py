@@ -19,9 +19,13 @@ from crosscap.expressions import (
     Var,
     eval_expr_jet,
     eval_expr_point,
+    MAX_DEPTH,
+    MAX_NESTING,
     eval_map_jet,
+    eval_map_jet1,
     eval_map_jets,
     eval_map_point,
+    eval_map_points,
     expr_to_text,
     parse_expr,
     parse_map_definition,
@@ -148,6 +152,45 @@ def test_no_implicit_multiplication():
     assert parse_expr("cu") == Parameter("cu")
     with pytest.raises(ParseError):
         parse_expr("2u")
+
+
+def test_tree_depth_is_bounded_at_parse_time():
+    # a left-deep sum of n terms is n - 1 operators deep
+    at_bound = "u" + " + u" * MAX_DEPTH
+    assert isinstance(parse_expr(at_bound), Binary)
+    with pytest.raises(ParseError) as info:
+        parse_expr(at_bound + " - u")
+    assert info.value.offset == len(at_bound) + 1
+    assert info.value.reason == f"expression is more than {MAX_DEPTH} operators deep"
+    with pytest.raises(ParseError):
+        parse_expr(" + ".join(["u"] * 5000))
+    deep_base = "(u" + "*u" * MAX_DEPTH + ")"
+    assert isinstance(parse_expr(deep_base), Binary)
+    with pytest.raises(ParseError) as info:
+        parse_expr(deep_base + "^2")
+    assert info.value.offset == len(deep_base)
+
+
+@pytest.mark.parametrize(
+    "nested, first_excess",
+    [
+        (lambda n: "(" * n + "v" + ")" * n, lambda n: n),
+        (lambda n: "sin(" * n + "v" + ")" * n, lambda n: 4 * n),
+        (lambda n: "-" * n + "v", lambda n: n),
+        (lambda n: "u^" + "(" * n + "2" + ")" * n, lambda n: 2 + n),
+    ],
+    ids=["parentheses", "calls", "minus-signs", "exponent"],
+)
+def test_nesting_is_bounded_at_parse_time(nested, first_excess):
+    parse_expr(nested(MAX_NESTING))
+    with pytest.raises(ParseError) as info:
+        parse_expr(nested(MAX_NESTING + 1))
+    assert info.value.offset == first_excess(MAX_NESTING)
+    assert info.value.reason == (
+        f"parentheses, calls and minus signs nest deeper than {MAX_NESTING}"
+    )
+    with pytest.raises(ParseError):
+        parse_expr(nested(3000))
 
 
 # -- printing ----------------------------------------------------------------------
@@ -493,3 +536,109 @@ def test_batched_jets_reach_a_parameter_only_from_a_point_that_holds():
     defn = parse_map_definition(["sqrt(u)", "v", "c"])
     with pytest.raises(UnboundParameterError):
         eval_map_jets(defn, np.array([[-1.0, 0.0], [1.0, 2.0]]), 2)
+
+
+# -- point arrays and order-1 jets ---------------------------------------------------
+
+_SPECIAL_COORDINATES = st.one_of(
+    _COORDINATES,
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e-310, 1e308, -1e308]),
+)
+
+
+def _assert_points_match_each_point(defn, points):
+    us = np.array([u for u, _ in points])
+    vs = np.array([v for _, v in points])
+    images, failed = eval_map_points(defn, us, vs)
+    assert images.shape == (len(points), 3)
+    for (u, v), image, bad in zip(points, images, failed):
+        try:
+            want = eval_map_point(defn, u, v)
+        except (JetDomainError, UnboundParameterError):
+            assert bad
+            continue
+        assert not bad
+        assert image.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.tuples(_TREES, _TREES, _TREES),
+    st.lists(st.tuples(_SPECIAL_COORDINATES, _SPECIAL_COORDINATES), min_size=1, max_size=8),
+    st.dictionaries(st.sampled_from(["a", "c", "sin"]), _COORDINATES),
+)
+def test_point_arrays_match_each_point_bit_for_bit_property(trees, points, params):
+    defn = MapDefinition(trees, params)
+    _assert_points_match_each_point(defn, points + [(-0.0, 0.0), (0.0, -0.0)])
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        "1/(1e308*10*u)",  # inf on the way is not a failure; nan at the end is
+        "1/(1/u)",
+        "(2*u)^-1",
+        "exp(-exp(1000*u))",
+        "sqrt(u - 0.5)",
+        "u^0*(1e308*10*u - 1e308*10*u)^0",  # nan^0 is 1
+        "1/exp(1e308*10*u) + 1/(1e308*10*v)^2",  # exp(inf) and inf^2 raise nothing
+        "log(0 - 1)*u",  # fails every point without u or v
+        "u^7 - v^-2 + sin(u)/cos(v)",
+        "-u*v - -0.0",
+    ],
+)
+def test_point_arrays_match_each_point_at_failures_and_signed_zeros(component):
+    defn = parse_map_definition(["u", "v", component])
+    grid = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 1e-310]
+    _assert_points_match_each_point(defn, [(u, v) for u in grid for v in grid])
+
+
+def test_point_arrays_fail_everywhere_on_an_unbound_parameter():
+    defn = parse_map_definition(["1/u", "c*v", "u"])
+    _, failed = eval_map_points(defn, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    assert failed.tolist() == [True, True]
+
+
+def _assert_order1_matches_jet(defn, base):
+    try:
+        jet = eval_map_jet(defn, base, 1)
+    except (JetDomainError, UnboundParameterError) as exc:
+        with pytest.raises(type(exc)) as info:
+            eval_map_jet1(defn, base)
+        assert str(info.value) == str(exc)
+        return
+    value, jacobian = eval_map_jet1(defn, base)
+    assert value.tobytes() == np.array(jet.base_value).tobytes()
+    assert jacobian.tobytes() == jet.jacobian().tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.tuples(_TREES, _TREES, _TREES),
+    st.tuples(_SPECIAL_COORDINATES, _SPECIAL_COORDINATES),
+    st.dictionaries(st.sampled_from(["a", "c", "sin"]), _COORDINATES),
+)
+def test_order1_jets_match_the_jet_bit_for_bit_property(trees, base, params):
+    _assert_order1_matches_jet(MapDefinition(trees, params), base)
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        "sin(-u) + cos(-v)",
+        "-u*v + exp(u) - log(1 + v^2)",
+        "sqrt(2 + u)/(3 - v)",
+        "(u - 1)^-2 + v^-2",
+        "u^7 - 0*v",
+        "-(0*u) - -0.0",
+        "-u*v",  # -0.5 * +0.0 is -0.0; the product's entry starts at +0.0
+        "-1*v + 0*u",
+        "log(u)^0",
+        "(1e-300 + u)^-1",
+        "1e308*10*u",
+    ],
+)
+def test_order1_jets_match_the_jet_at_failures_and_signed_zeros(component):
+    defn = parse_map_definition(["u", "v", component])
+    for base in [(0.0, 0.0), (-0.0, -0.0), (-1.0, 0.0), (1.0, -1.0), (1.5, 0.25), (0.5, -0.0)]:
+        _assert_order1_matches_jet(defn, base)
