@@ -483,18 +483,18 @@ def cmd_mesh(args) -> int:
     combo = _require_scalar_parameters(request, "mesh")
     umin, umax, vmin, vmax = request["box"]
     grid = request["grid"]
-    # one row per sample, u outer and v inner
-    us = np.repeat(np.linspace(umin, umax, grid), grid)
-    vs = np.tile(np.linspace(vmin, vmax, grid), grid)
+    # the grid as a column of u and a row of v; rows run u outer, v inner
+    us = np.linspace(umin, umax, grid)[:, None]
+    vs = np.linspace(vmin, vmax, grid)[None, :]
     images, failed = eval_map_points(defn, us, vs, combo)
     failed |= ~np.isfinite(us) | ~np.isfinite(vs)
     if failed.any():
         # the first failing row fails as it does on its own: in the map, or
         # in a coordinate that is not finite
-        first = int(np.argmax(failed))
-        eval_map_point(defn, float(us[first]), float(vs[first]), combo)
+        i, j = divmod(int(np.argmax(failed)), grid)
+        eval_map_point(defn, float(us[i, 0]), float(vs[0, j]), combo)
         raise ContractViolationError("report fields must be finite")
-    rows = format_rows(np.column_stack([us, vs, images]))
+    rows = format_rows([us, vs, *images])
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write("u,v,x,y,z\n")
         fh.writelines(rows)

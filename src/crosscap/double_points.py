@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,9 +44,10 @@ _CORRECTOR_TOL = 1e-11
 _ROW_BLOCK = 4096
 
 
-def _normal(f_u: np.ndarray, f_v: np.ndarray, q: tuple[float, float]) -> np.ndarray:
-    """(f_u x f_v)/|f_u x f_v|; a singular point has no normal direction."""
-    c = np.cross(f_u, f_v)
+def _normal(
+    c: np.ndarray, f_u: np.ndarray, f_v: np.ndarray, q: tuple[float, float]
+) -> np.ndarray:
+    """c/|c| for c = f_u x f_v; a singular point has no normal direction."""
     cn = float(np.linalg.norm(c))
     bound = 1e-12 * float(np.linalg.norm(f_u)) * float(np.linalg.norm(f_v))
     if cn <= bound:
@@ -67,7 +68,8 @@ def unit_normal(
     uses the same ``_normal`` on the Jacobians the tracer keeps.
     """
     _, jac = eval_map_jet1(defn, q, parameters)
-    return _normal(jac[:, 0], jac[:, 1], q)
+    f_u, f_v = jac[:, 0], jac[:, 1]
+    return _normal(np.cross(f_u, f_v), f_u, f_v, q)
 
 
 @dataclass(frozen=True)
@@ -358,14 +360,18 @@ def transversality_check(curve: DoublePointCurve) -> np.ndarray:
     the singular point the angle approaches pi, which is the expected
     behavior, not a degeneracy.
     """
-    angles = []
-    for sample in curve.samples:
-        jac = sample.jacobian
-        nu = _normal(jac[:, 0], jac[:, 1], sample.q)
-        nu_p = _normal(-jac[:, 2], -jac[:, 3], sample.q_prime)
-        c = float(np.clip(nu @ nu_p, -1.0, 1.0))
-        angles.append(math.acos(c))
-    return np.array(angles)
+    # one np.cross over all samples computes each row by the formula it
+    # uses on one row; the norms stay per row, as a norm over an axis can
+    # round differently from the 1-D one
+    jac = np.array([sample.jacobian for sample in curve.samples]).reshape(-1, 3, 4)
+    f_u, f_v, g_u, g_v = jac[:, :, 0], jac[:, :, 1], -jac[:, :, 2], -jac[:, :, 3]
+    c, c_p = np.cross(f_u, f_v), np.cross(g_u, g_v)
+    angles = np.empty(len(jac))
+    for i, sample in enumerate(curve.samples):
+        nu = _normal(c[i], f_u[i], f_v[i], sample.q)
+        nu_p = _normal(c_p[i], g_u[i], g_v[i], sample.q_prime)
+        angles[i] = math.acos(float(np.clip(nu @ nu_p, -1.0, 1.0)))
+    return angles
 
 
 def curve_to_csv(curve: DoublePointCurve) -> str:
@@ -377,7 +383,7 @@ def curve_to_csv(curve: DoublePointCurve) -> str:
         ],
         dtype=float,
     ).reshape(-1, 9)
-    return "s,u,v,u',v',x,y,z,residual\n" + "".join(format_rows(table))
+    return "s,u,v,u',v',x,y,z,residual\n" + "".join(format_rows(np.hsplit(table, 9)))
 
 
 def format_float(x: float) -> str:
@@ -391,15 +397,48 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def format_rows(table: np.ndarray) -> Iterator[str]:
-    """The CSV rows of a 2-D float table, each value as ``format_float``
-    writes it, made ``_ROW_BLOCK`` rows at a time so that a large table is
-    never held as text."""
-    if not np.isfinite(table).all():
+def format_rows(columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """The CSV text of a table given by its columns, each value as
+    ``format_float`` writes it.
+
+    The columns broadcast together to the table's 2-D shape, whose entries
+    in C order are the rows: for ``mesh`` the grid, u outer and v inner.  A
+    column with fewer entries than the table, one that varies along a
+    single axis of the grid or along none, is formatted once per entry; a
+    full column is formatted as its rows are made.  The text comes in
+    blocks of whole grid lines, at most ``_ROW_BLOCK`` rows or else one
+    line each, so a large table is never held as text.  A value that is not
+    finite is refused at the call, before any text is made.
+    """
+    columns = [np.atleast_2d(np.asarray(column, float)) for column in columns]
+    if not all(np.isfinite(column).all() for column in columns):
         raise ContractViolationError("report fields must be finite")
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    blocks = (
-        table[start : start + _ROW_BLOCK] + 0.0  # -0.0 written as 0
-        for start in range(0, len(table), _ROW_BLOCK)
-    )
-    return (row % tuple(values) for block in blocks for values in block.tolist())
+    lines, width = np.broadcast_shapes(*(column.shape for column in columns))
+    cells = []
+    for column in columns:
+        if column.size < lines * width:
+            text = map(format_float, column.ravel().tolist())
+            column = np.array(list(text), object).reshape(column.shape)
+        cells.append(column)
+    # the formatted columns enter the rows as text, the full ones as floats
+    row = ",".join("%s" if c.dtype == object else "%.17g" for c in cells) + "\n"
+    return _blocks(cells, row, lines, width)
+
+
+def _blocks(
+    cells: list[np.ndarray], row: str, lines: int, width: int
+) -> Iterator[str]:
+    """The rows of ``cells``, each made by the template ``row``, joined a
+    block of whole lines at a time."""
+    step = max(1, _ROW_BLOCK // max(width, 1))
+    for start in range(0, lines, step):
+        stop = min(lines, start + step)
+        fields = []
+        for column in cells:
+            if column.dtype != object:
+                column = column[start:stop] + 0.0  # -0.0 written as 0
+            elif len(column) > 1:
+                column = column[start:stop]
+            block = np.broadcast_to(column, (stop - start, width))
+            fields.append(block.ravel().tolist())
+        yield "".join(map(row.__mod__, zip(*fields)))

@@ -413,14 +413,16 @@ def _operator_pair(op):
 class _Samples:
     """Point values at many points at once, for ``mesh``.
 
-    ``values`` holds one float64 per point and ``failed`` marks the points
-    where ``eval_expr_point`` raises on the way to this value.  ``+ - *
-    /`` and unary ``-`` are numpy's, which round as Python's float
-    operations do.  Integer powers and the functions run through Python
-    element by element, since numpy's ``**`` can differ in the last bit.  As
-    with Python floats, an inf or nan on the way fails no point; a zero
-    divisor fails it, and so does an error from ``pow`` or ``math``.
-    Constants stay Python floats.  Callers silence numpy's warnings.
+    ``values`` holds float64s and ``failed`` marks the points where
+    ``eval_expr_point`` raises on the way to this value.  Both broadcast
+    against the grid of points, so a value that varies along fewer axes of
+    the grid is held, and computed, only along those.  ``+ - * /`` and
+    unary ``-`` are numpy's, which round as Python's float operations do.
+    Integer powers and the functions run through Python element by
+    element, since numpy's ``**`` can differ in the last bit.  As with
+    Python floats, an inf or nan on the way fails no point; a zero divisor
+    fails it, and so does an error from ``pow`` or ``math``.  Constants
+    stay Python floats.  Callers silence numpy's warnings.
     """
 
     __slots__ = ("values", "failed")
@@ -663,34 +665,41 @@ def eval_map_points(
     us: np.ndarray,
     vs: np.ndarray,
     parameters: dict[str, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_map_point`` at the points ``(us[i], vs[i])`` at once.
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """``eval_map_point`` at the points ``(us, vs)``, two arrays that
+    broadcast together.
 
-    Returns the images, shape ``(points, 3)``, and a mask of the points
-    where ``eval_map_point`` raises.  At every other point the image is bit
-    for bit that of ``eval_map_point``.  A part of a component with no u or
-    v in it that raises, and an unbound parameter, fail every point, as
-    they make ``eval_map_point`` raise at every point.
+    Each part of a component is evaluated in the shape of the variables in
+    it, so on a grid of ``us`` of shape (n, 1) and ``vs`` of shape (1, m) a
+    part in u alone takes n evaluations, not n*m.  Returns the three
+    components, each in its own shape: that of ``us``, of ``vs``, of their
+    broadcast, or 0-d when it holds neither; and a mask, in the broadcast
+    shape, of the points where ``eval_map_point`` raises.  At every other
+    point the image is bit for bit that of ``eval_map_point``.  A part of a
+    component with no u or v in it that raises, and an unbound parameter,
+    fail every point, as they make ``eval_map_point`` raise at every point;
+    the components are then 0-d nan.
     """
     params = defn.bound_parameters(parameters)
-    count = len(us)
-    out = np.empty((count, 3))
-    failed = np.zeros(count, bool)
+    us, vs = np.asarray(us, float), np.asarray(vs, float)
+    failed = np.zeros(np.broadcast_shapes(us.shape, vs.shape), bool)
     leaves = (
-        _Samples(np.asarray(us, float), failed),
-        _Samples(np.asarray(vs, float), failed),
+        _Samples(us, np.zeros(us.shape, bool)),
+        _Samples(vs, np.zeros(vs.shape, bool)),
     )
+    components = []
     try:
         with np.errstate(all="ignore"):
-            for index, comp in enumerate(defn.components):
+            for comp in defn.components:
                 values, bad = _parts(
                     _evaluate(comp, leaves, float, _SAMPLE_FUNCTIONS, params)
                 )
-                out[:, index] = values
-                failed = failed | bad | ~np.isfinite(out[:, index])
+                values = np.asarray(values, float)
+                components.append(values)
+                failed = failed | bad | ~np.isfinite(values)
     except (JetDomainError, UnboundParameterError):
-        failed = np.ones(count, bool)
-    return out, failed
+        return (np.array(math.nan),) * 3, np.ones(failed.shape, bool)
+    return tuple(components), failed
 
 
 def eval_map_jet1(

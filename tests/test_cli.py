@@ -492,6 +492,28 @@ def test_mesh_and_curve_keep_their_pinned_bytes(capsys, command, fixture):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[command, fixture]
 
 
+# sha256 of grid-1000 meshes written by the flat evaluation, which
+# evaluated and formatted every value at every one of the 10^6 rows: one
+# map separable in u and v, and one that is not
+_PINNED_GRID_1000 = {
+    "example_cubic.json": "65e3695529495884265f293289a738e48c28b8539ef16346768749e2cd508cde",
+    "non_separable": "55d96a0bb0c6cea95f22a09277f645372e19c0980d9aedcfb19368215009c1ab",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_GRID_1000))
+def test_grid_1000_mesh_keeps_its_pinned_bytes(capsys, tmp_path, name):
+    if name == "non_separable":
+        request = _request_file(tmp_path, {"components": ["u + v", "u*v", "sin(u - v)"]})
+    else:
+        request = _fixture(name)
+    out = tmp_path / "mesh.csv"
+    rc, _, err = _run(capsys, ["mesh", "--map", request, "--grid", "1000", "--out", str(out)])
+    assert (rc, err) == (0, "")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _PINNED_GRID_1000[name]
+
+
 def test_mesh_writes_the_same_bytes_to_a_file_and_to_stdout(capsys, tmp_path):
     out = tmp_path / "mesh.csv"
     argv = ["mesh", "--map", _fixture("functions.json"), "--grid", "70"]
@@ -526,6 +548,24 @@ def test_mesh_writes_the_same_bytes_to_a_file_and_to_stdout(capsys, tmp_path):
         (["0", "v", "0"], "-1e308,1e308,-1,1", 3, "report fields must be finite"),
         (["u", "v", "0"], "-1e308,1e308,-1,1", 3,
          "component 1: value nan is beyond float range"),
+        # on the compact grid: a part in u alone, in v alone, with neither,
+        # and a component with no variable, next to one that fails
+        (["u", "1/v", "v"], "-1,1,-1,1", 3, "component 2: float division by zero"),
+        (["u", "v", "log(0 - 1)*u"], "-1,1,-1,1", 3, "component 3: math domain error"),
+        (["2", "sqrt(v - 0.5)", "-0.0"], "0,1,0,1", 3, "component 2: math domain error"),
+        (["-0.0", "u", "1/v"], "-1,1,-1,1", 3, "component 3: float division by zero"),
+        (["2", "-0.0", "sqrt(u - 0.5)"], "0,1,0,1", 3, "component 3: math domain error"),
+        (["sqrt(u - 0.5)*v", "v", "u"], "0,1,-1,1", 3, "component 1: math domain error"),
+        (["u", "v", "1e308*10"], "-1,1,-1,1", 3,
+         "component 3: value inf is beyond float range"),
+        (["u", "v", "0^-1"], "0,1,0,1", 3,
+         "component 3: 0.0 cannot be raised to a negative power"),
+        (["u", "v", "c"], "0,1,0,1", 3, "parameter 'c' is not bound"),
+        # rows run u outer: v = 0.5 at u = 0 fails before u = 1 at v = 0
+        (["1/(v - 0.5)", "sqrt(0.75 - u)", "v"], "0,1,0,1", 3,
+         "component 1: float division by zero"),
+        (["sqrt(0.75 - u)", "1/(v - 0.5)", "v"], "0,1,0,1", 3,
+         "component 2: float division by zero"),
     ],
 )
 def test_a_failing_mesh_row_gives_its_own_message(capsys, tmp_path, components, box, grid, message):
@@ -555,6 +595,11 @@ def test_a_failing_mesh_row_gives_its_own_message(capsys, tmp_path, components, 
          ["0,0,0,0,2", "0,1,0,1,2", "1,0,1,0,2", "1,1,1,1,2"]),
         (["u", "v", "u*v"], "-0.0,1,-0.0,1",
          ["0,0,0,0,0", "0,1,0,1,0", "1,0,1,0,0", "1,1,1,1,1"]),
+        # components with no variable, -0.0 among them, on every row
+        (["2", "u*v", "-0.0"], "-1,1,-1,1",
+         ["-1,-1,2,1,0", "-1,1,2,-1,0", "1,-1,2,-1,0", "1,1,2,1,0"]),
+        (["2", "-0.0", "-(0*u)"], "-1,1,-1,1",
+         ["-1,-1,2,0,0", "-1,1,2,0,0", "1,-1,2,0,0", "1,1,2,0,0"]),
     ],
 )
 def test_an_inf_on_the_way_fails_no_mesh_row(capsys, tmp_path, components, box, rows):

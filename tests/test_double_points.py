@@ -6,7 +6,10 @@ be checked against exact expressions; the cubic example adds a curved
 locus u = -v^2.
 """
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +32,14 @@ from crosscap.errors import (
     StepCollapseError,
 )
 from crosscap.expressions import eval_map_jet, parse_map_definition
-from crosscap.locate import certify_jet
+from crosscap.locate import DEFAULT_TOL_SINGULAR, align_kernel, certify_jet
 
 RNG_SEED = 20260814
 
 F0 = ("u", "u*v", "v^2")
 CUBIC = ("u", "u*v + v^3", "u^2 + v^2")
 JAC = np.zeros((3, 4))
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _certified(components, order=4):
@@ -190,6 +194,105 @@ def test_transversality_angles_match_the_sheet_formula():
         v = sample.q[1]
         expected = math.acos((v * v - 1.0) / (v * v + 1.0))
         assert angle == pytest.approx(expected, abs=1e-12)
+
+
+def _fixture_curve(name, arc_span, step):
+    request = json.loads((FIXTURES / name).read_text())
+    defn = parse_map_definition(request["components"])
+    params = request.get("parameters", {})
+    point = tuple(request.get("point", (0.0, 0.0)))
+    cert = align_kernel(defn, point, request["order"], DEFAULT_TOL_SINGULAR, params)
+    return trace_double_points(defn, cert, arc_span, step, params)
+
+
+def _angles_one_sample_at_a_time(curve):
+    """The per-sample loop the angles were first computed with."""
+
+    def normal(f_u, f_v):
+        c = np.cross(f_u, f_v)
+        return c / float(np.linalg.norm(c))
+
+    angles = []
+    for sample in curve.samples:
+        jac = sample.jacobian
+        nu = normal(jac[:, 0], jac[:, 1])
+        nu_p = normal(-jac[:, 2], -jac[:, 3])
+        angles.append(math.acos(float(np.clip(nu @ nu_p, -1.0, 1.0))))
+    return angles
+
+
+def _hex_digest(angles):
+    text = " ".join(map(float.hex, angles))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the angles' float.hex strings from the per-sample loop, traced
+# with span 1 and step 0.002 (about 1,000 samples each)
+_PINNED_ANGLES = {
+    "example_cubic.json": "960cf9338bdc2238849e459108c0ba42e8a85602ba705d2cd590161914d94b40",
+    "example_quartic.json": "e10f00aff369b9f5273a7117a9f401175e9c8fa13e4b026fff16837c04098fa7",
+    "functions.json": "ac96e84aa6acc78a5dbf9724e15f8f8ad8da4a80b2aaf941760d1ce7b28af94c",
+    "standard.json": "d2582a9a663fc937a65aa326243eda0db9e1c3823d60b80253448f9d3f9bedd2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_ANGLES))
+def test_transversality_angles_keep_their_pinned_bits(name):
+    curve = _fixture_curve(name, 1.0, 0.002)
+    angles = transversality_check(curve).tolist()
+    assert list(map(float.hex, angles)) == list(
+        map(float.hex, _angles_one_sample_at_a_time(curve))
+    )
+    assert _hex_digest(angles) == _PINNED_ANGLES[name]
+
+
+@pytest.mark.parametrize(
+    "components, arc_span, step",
+    [(F0, 1.0, 0.01), (CUBIC, 0.5, 0.01), (F0, 0.2, 0.05)],
+    ids=["crossed", "cubic", "mirrored"],
+)
+def test_transversality_angles_match_the_per_sample_loop(components, arc_span, step):
+    _, curve = _trace(components, arc_span, step)
+    angles = transversality_check(curve).tolist()
+    assert list(map(float.hex, angles)) == list(
+        map(float.hex, _angles_one_sample_at_a_time(curve))
+    )
+
+
+def _sample(u, jacobian):
+    return DoublePointSample(
+        s=u,
+        q=(u, 1.0),
+        q_prime=(u, -1.0),
+        image=np.zeros(3),
+        residual=0.0,
+        jacobian=jacobian,
+    )
+
+
+def test_transversality_names_the_first_singular_sheet():
+    regular = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    at_q_prime = regular.copy()
+    at_q_prime[:, 3] = 0.0  # f_v(q') = 0
+    at_both = np.zeros((3, 4))
+    # q is checked before q', and the first sample in order is the one named
+    for samples, point in [
+        ((regular, at_q_prime, at_both), (0.1, -1.0)),
+        ((regular, at_both, at_q_prime), (0.1, 1.0)),
+    ]:
+        curve = DoublePointCurve(
+            samples=tuple(_sample(0.1 * k, jac) for k, jac in enumerate(samples))
+        )
+        with pytest.raises(SingularPointError) as info:
+            transversality_check(curve)
+        assert str(info.value) == (
+            f"point {point} is singular; the normal direction is undefined"
+        )
+
+
+def test_transversality_of_an_empty_curve_is_empty():
+    angles = transversality_check(DoublePointCurve(samples=()))
+    assert angles.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

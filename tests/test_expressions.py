@@ -546,10 +546,17 @@ _SPECIAL_COORDINATES = st.one_of(
 )
 
 
+def _images(components, failed):
+    """The components broadcast to the shape of ``failed``, stacked on a
+    last axis of three."""
+    return np.stack([np.broadcast_to(c, failed.shape) for c in components], axis=-1)
+
+
 def _assert_points_match_each_point(defn, points):
     us = np.array([u for u, _ in points])
     vs = np.array([v for _, v in points])
-    images, failed = eval_map_points(defn, us, vs)
+    components, failed = eval_map_points(defn, us, vs)
+    images = _images(components, failed)
     assert images.shape == (len(points), 3)
     for (u, v), image, bad in zip(points, images, failed):
         try:
@@ -591,6 +598,72 @@ def test_point_arrays_match_each_point_at_failures_and_signed_zeros(component):
     defn = parse_map_definition(["u", "v", component])
     grid = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 1e-310]
     _assert_points_match_each_point(defn, [(u, v) for u in grid for v in grid])
+
+
+def _assert_grid_matches_each_point(defn, us, vs):
+    """On the grid ``us`` x ``vs``, evaluated as a column and a row."""
+    components, failed = eval_map_points(
+        defn, np.array(us)[:, None], np.array(vs)[None, :]
+    )
+    assert failed.shape == (len(us), len(vs))
+    # each component keeps only the axes of the variables in it, unless a
+    # part raised for every point
+    if not failed.all():
+        for comp, values in zip(defn.components, components):
+            names = _variables(comp)
+            shape = (len(us) if "u" in names else 1, len(vs) if "v" in names else 1)
+            assert values.shape == (shape if names else ())
+    images = _images(components, failed)
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            try:
+                want = eval_map_point(defn, u, v)
+            except (JetDomainError, UnboundParameterError):
+                assert failed[i, j]
+                continue
+            assert not failed[i, j]
+            assert images[i, j].tobytes() == want.tobytes()
+
+
+def _variables(expr) -> set:
+    if isinstance(expr, Var):
+        return {expr.name}
+    if isinstance(expr, Unary):
+        return _variables(expr.child)
+    if isinstance(expr, Binary):
+        return _variables(expr.left) | _variables(expr.right)
+    return set()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.tuples(_TREES, _TREES, _TREES),
+    st.lists(_SPECIAL_COORDINATES, min_size=1, max_size=4),
+    st.lists(_SPECIAL_COORDINATES, min_size=1, max_size=4),
+    st.dictionaries(st.sampled_from(["a", "c", "sin"]), _COORDINATES),
+)
+def test_grid_points_match_each_point_bit_for_bit_property(trees, us, vs, params):
+    defn = MapDefinition(trees, params)
+    _assert_grid_matches_each_point(defn, us + [-0.0, 0.0], vs + [0.0, -0.0])
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        ("sqrt(u - 0.5)", "v", "u*v"),  # a part in u alone fails whole grid lines
+        ("u", "1/v", "v^-2 + u"),  # a part in v alone
+        ("u", "v", "log(0 - 1)*u"),  # a part with neither fails every point
+        ("2", "-0.0", "u*v"),  # components with no variable
+        ("2", "sqrt(v - 0.5)", "-0.0"),
+        ("-(0*u)", "-v*0", "-0.0*u*v"),  # signed zeros in one axis or both
+        ("1e308*10", "u", "v"),  # a component with no variable beyond range
+        ("(u + v)^2", "sin(u - v)", "u*v"),
+    ],
+)
+def test_grid_points_match_each_point_at_failures_and_signed_zeros(components):
+    defn = parse_map_definition(list(components))
+    grid = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 1e-310]
+    _assert_grid_matches_each_point(defn, grid, grid[::-1])
 
 
 def test_point_arrays_fail_everywhere_on_an_unbound_parameter():
