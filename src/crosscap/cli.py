@@ -64,9 +64,10 @@ from .symmetry import DEFAULT_TOL_SYMMETRY, classify_symmetries
 
 TANGENCY_ANGLE = 1e-3
 # work budgets: the search and mesh take time growing with grid squared,
-# and the tracer with span / step
+# the tracer with span / step, and a report with its parameter combinations
 MAX_GRID = 1000
 MAX_ARC_STEPS = 10_000
+MAX_SWEEP = 1000
 
 _DEFAULTS = {
     "order": DEFAULT_ORDER,
@@ -269,7 +270,14 @@ def _load_request(args: argparse.Namespace) -> dict:
         request["tolerances"][key] = _positive_number(tol, f"tolerance {key!r}")
     for key in ("span", "step"):
         request[key] = _positive_number(request[key], key)
+    if _sweep_size(parameters) > MAX_SWEEP:
+        raise _InputError(f"a parameter sweep must have at most {MAX_SWEEP} combinations")
     return request
+
+
+def _sweep_size(parameters: dict) -> int:
+    """The number of combinations ``_sweep_combinations`` would make."""
+    return math.prod(len(x) if isinstance(x, list) else 1 for x in parameters.values())
 
 
 def _sweep_combinations(parameters: dict) -> list[dict[str, float]]:
@@ -283,10 +291,10 @@ def _sweep_combinations(parameters: dict) -> list[dict[str, float]]:
 
 
 def _require_scalar_parameters(request: dict, command: str) -> dict[str, float]:
-    combos = _sweep_combinations(request["parameters"])
-    if len(combos) != 1:
+    if _sweep_size(request["parameters"]) != 1:
         raise _InputError(f"{command} does not support parameter sweeps")
-    return combos[0]
+    (combo,) = _sweep_combinations(request["parameters"])
+    return combo
 
 
 # -- report assembly -----------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     SingularPointError,
     StepCollapseError,
 )
-from .expressions import MapDefinition, eval_map_jet1
+from .expressions import MapDefinition, eval_map_jet1, stage_map_jet1
 from .jets import diffeo_invert
 from .locate import CrossCapCertificate
 from .normal_form import reduce_to_normal_form
@@ -44,12 +44,17 @@ _CORRECTOR_TOL = 1e-11
 _ROW_BLOCK = 4096
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a 1-D array, computed as numpy's ``linalg.norm`` does."""
+    return math.sqrt(x.dot(x))
+
+
 def _normal(
     c: np.ndarray, f_u: np.ndarray, f_v: np.ndarray, q: tuple[float, float]
 ) -> np.ndarray:
     """c/|c| for c = f_u x f_v; a singular point has no normal direction."""
-    cn = float(np.linalg.norm(c))
-    bound = 1e-12 * float(np.linalg.norm(f_u)) * float(np.linalg.norm(f_v))
+    cn = _norm(c)
+    bound = 1e-12 * _norm(f_u) * _norm(f_v)
     if cn <= bound:
         raise SingularPointError(
             f"point {q} is singular; the normal direction is undefined"
@@ -131,18 +136,15 @@ class _DoubledSystem:
     """f(q) - f(q') and its 3x4 Jacobian over the doubled source space."""
 
     def __init__(self, defn: MapDefinition, parameters: dict[str, float] | None):
-        self.defn = defn
-        self.parameters = parameters
-
-    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x[:2], x[2:]
+        self.jets = stage_map_jet1(defn, parameters)
 
     def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        q, qp = self.split(x)
-        fa, ja = eval_map_jet1(self.defn, (q[0], q[1]), self.parameters)
-        fb, jb = eval_map_jet1(self.defn, (qp[0], qp[1]), self.parameters)
-        jac = np.hstack([ja, -jb])
-        return fa - fb, jac, 0.5 * (fa + fb)
+        pairs = list(zip(self.jets((x[0], x[1])), self.jets((x[2], x[3]))))
+        return (
+            np.array([a[0] - b[0] for a, b in pairs]),
+            np.array([(a[1], a[2], -b[1], -b[2]) for a, b in pairs]),
+            np.array([0.5 * (a[0] + b[0]) for a, b in pairs]),
+        )
 
 
 def _tangent(jac: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -174,7 +176,7 @@ def _correct(
             return None, best
         best = min(best, rn)
         if rn <= _CORRECTOR_TOL:
-            return (x, jac, image, float(np.linalg.norm(r))), best
+            return (x, jac, image, _norm(r)), best
         try:
             if tangent is None:
                 delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -237,8 +239,8 @@ def _trace_direction(
             corrected, _ = _correct(system, predicted, tangent)
             if corrected is not None:
                 x_new, jac_new, image_new, residual_new = corrected
-                moved = float(np.linalg.norm(x_new - x))
-                gap = float(np.linalg.norm(x_new[:2] - x_new[2:]))
+                moved = _norm(x_new - x)
+                gap = _gap(x_new)
                 if gap < min_gap:
                     return samples
                 if moved > 3.0 * h or moved == 0.0:
@@ -263,7 +265,7 @@ def _trace_direction(
 
 
 def _gap(state: np.ndarray) -> float:
-    return float(np.linalg.norm(state[:2] - state[2:]))
+    return _norm(state[:2] - state[2:])
 
 
 def trace_double_points(
@@ -300,7 +302,7 @@ def trace_double_points(
         )
 
     away = np.concatenate([x0[:2] - x0[2:], x0[2:] - x0[:2]])
-    away /= float(np.linalg.norm(away))
+    away /= _norm(away)
     inward = _trace_direction(
         system, x0, jac0, -away, offset0 + arc_span + 2.0 * step, step
     )
@@ -314,7 +316,7 @@ def trace_double_points(
 
     positions = [0.0]
     for (xa, *_), (xb, *_) in zip(chain, chain[1:]):
-        positions.append(positions[-1] + float(np.linalg.norm(xb - xa)))
+        positions.append(positions[-1] + _norm(xb - xa))
 
     # locate the diagonal crossing: the reference separation is the one at
     # the outward end; entries on the far side have it reversed

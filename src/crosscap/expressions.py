@@ -21,11 +21,12 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import partial
+from math import isfinite
 
 import numpy as np
 
 from .errors import JetDomainError, ParseError, UnboundParameterError
-from .jets import Jet2, MapJet3, _Jet2Order1, _JetBatch, elementary
+from .jets import Jet2, MapJet3, _JetBatch, _univariate_series, elementary
 
 __all__ = [
     "Binary",
@@ -45,6 +46,7 @@ __all__ = [
     "expr_to_text",
     "parse_expr",
     "parse_map_definition",
+    "stage_map_jet1",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -361,8 +363,7 @@ _JET_FUNCTIONS = {name: partial(_jet_function, name) for name in _FUNCTIONS}
 
 
 def _method_function(name: str, jet):
-    """For the value types whose ``elementary`` is a method: ``_JetBatch``
-    and ``_Jet2Order1``."""
+    """For ``_JetBatch``, whose ``elementary`` is a method."""
     value, rest = jet.split_constant()
     return rest.elementary(name, value)
 
@@ -467,7 +468,7 @@ def _lookup(name: str, params: dict[str, float]) -> float:
 
 def _evaluate(expr: Expr, leaves: tuple, number, functions: dict, params: dict):
     """The one walk of an expression tree, over floats, ``Jet2`` values,
-    order-1 jets, batches of jets or arrays of points.
+    batches of jets or arrays of points, or staging order-1 jets.
 
     ``leaves`` are the values of u and v, ``number`` makes a value from a
     float and ``functions`` maps each function name to its action on values.
@@ -578,9 +579,9 @@ def parse_map_definition(
     return MapDefinition(tuple(components), parameters or {})
 
 
-def _by_component(defn: MapDefinition, evaluate) -> list:
+def _by_component(components, evaluate) -> list:
     out = []
-    for index, comp in enumerate(defn.components):
+    for index, comp in enumerate(components):
         try:
             out.append(evaluate(comp))
         except JetDomainError as exc:
@@ -602,7 +603,7 @@ def eval_map_jet(
     """
     leaves = _jet_leaves(base, order)
     params = defn.bound_parameters(parameters)
-    jets = _by_component(defn, lambda comp: _expand(comp, leaves, params))
+    jets = _by_component(defn.components, lambda comp: _expand(comp, leaves, params))
     return MapJet3.from_uncentered(jets, base)
 
 
@@ -656,7 +657,7 @@ def eval_map_point(
     """Pointwise image of the map, one 3-vector; errors as in ``eval_map_jet``."""
     params = defn.bound_parameters(parameters)
     return np.array(
-        _by_component(defn, lambda comp: eval_expr_point(comp, u, v, params))
+        _by_component(defn.components, lambda comp: eval_expr_point(comp, u, v, params))
     )
 
 
@@ -702,23 +703,136 @@ def eval_map_points(
     return tuple(components), failed
 
 
+# -- order-1 jets staged for the tracer ----------------------------------------
+# A jet is (value, du, dv).  Each function repeats the float operations of
+# ``Jet2`` at order 1 in the same order, so every entry has the bits of the
+# ``Jet2`` coefficient, signed zeros included, and JetDomainError is raised,
+# with the same message, wherever ``Jet2`` raises it.
+
+
+def _checked(value: float, du: float, dv: float) -> tuple[float, float, float]:
+    if isfinite(value) and isfinite(du) and isfinite(dv):
+        return value, du, dv
+    raise JetDomainError("jet coefficients beyond float range")
+
+
+def _product(a: tuple, b: tuple) -> tuple[float, float, float]:
+    """In ``_shift_add``'s loop order, from +0.0, skipping zero coefficients of ``a``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    value = du = dv = 0.0
+    if a0 != 0.0:
+        value += a0 * b0
+        du += a0 * b1
+        dv += a0 * b2
+    if a2 != 0.0:
+        dv += a2 * b0
+    if a1 != 0.0:
+        du += a1 * b0
+    return _checked(value, du, dv)
+
+
+def _series(jet: tuple, tag: str, exponent: int | None = None) -> tuple:
+    """``elementary(tag, rest, value, exponent)`` for ``jet = value + rest``."""
+    center, du, dv = jet
+    try:
+        s0, s1 = _univariate_series(tag, center, 1, exponent)
+    except (ArithmeticError, ValueError) as exc:
+        raise JetDomainError(str(exc)) from None
+    if s1 == 0.0:
+        return _checked(s0, 0.0, 0.0)
+    # constant(1.0) * rest is (0.0, 0.0 + du, 0.0 + dv), then scaled by s1
+    term = _checked(0.0 * s1, (0.0 + du) * s1, (0.0 + dv) * s1)
+    return _checked(s0 + term[0], 0.0 + term[1], 0.0 + term[2])
+
+
+def _power(jet: tuple, m: int) -> tuple:
+    if m < 0:
+        return _series(jet, "pow_int", m)
+    acc = (1.0, 0.0, 0.0)
+    for _ in range(m):
+        acc = _product(acc, jet)
+    return acc
+
+
+def _staged_binary(kernel):
+    """The operator that stages ``kernel`` on the jets of both operands."""
+    return lambda self, other: _Staged(
+        lambda u, v, f=self.call, g=other.call: kernel(f(u, v), g(u, v))
+    )
+
+
+def _staged_unary(kernel):
+    """The method that stages ``kernel`` on the jet of ``self`` and its arguments."""
+    return lambda self, *args: _Staged(
+        lambda u, v, f=self.call: kernel(f(u, v), *args)
+    )
+
+
+class _Staged:
+    """An order-1 jet to compute at many base points: ``call(u, v)`` gives it
+    at ``(u, v)``.  Staging walks the tree once; each node becomes a closure
+    that calls its children, one frame per operator as the walk does, then
+    applies its operation, so a call raises where and as the walk would."""
+
+    __slots__ = ("call",)
+
+    def __init__(self, call):
+        self.call = call
+
+    @classmethod
+    def constant(cls, value) -> "_Staged":
+        if isinstance(value, _Staged):  # an unbound parameter
+            return value
+        jet = (value, 0.0, 0.0)
+        return cls(lambda u, v: jet) if isfinite(value) else cls(lambda u, v: _checked(*jet))
+
+    __add__ = _staged_binary(lambda a, b: _checked(a[0] + b[0], a[1] + b[1], a[2] + b[2]))
+    __sub__ = _staged_binary(lambda a, b: _checked(a[0] - b[0], a[1] - b[1], a[2] - b[2]))
+    __mul__ = _staged_binary(_product)
+    __truediv__ = _staged_binary(lambda a, b: _product(a, _series(b, "pow_int", -1)))
+    __neg__ = _staged_unary(lambda a: (-a[0], -a[1], -a[2]))  # finite, as a is
+    __pow__ = _staged_unary(_power)
+    series = _staged_unary(_series)
+
+
+_STAGED_FUNCTIONS = {name: operator.methodcaller("series", name) for name in _FUNCTIONS}
+
+
+class _StagedParameters(dict):
+    """A missing name stages a jet whose call raises UnboundParameterError."""
+
+    def __missing__(self, name: str) -> _Staged:
+        return _Staged(lambda u, v: _lookup(name, {}))
+
+
+def stage_map_jet1(defn: MapDefinition, parameters: dict[str, float] | None = None):
+    """The map staged once for the tracer's many order-1 evaluations: a
+    function of a base point that gives each component's (value, du, dv)
+    there, bit for bit the coefficients of 1, u and v of
+    ``eval_map_jet(defn, base, 1, parameters)``, with the same errors."""
+    params = _StagedParameters(defn.bound_parameters(parameters))
+    leaves = (_Staged(lambda u, v: (u, 1.0, 0.0)), _Staged(lambda u, v: (v, 0.0, 1.0)))
+    calls = [
+        _evaluate(comp, leaves, _Staged.constant, _STAGED_FUNCTIONS, params).call
+        for comp in defn.components
+    ]
+
+    def jets(base: tuple[float, float]) -> list[tuple[float, float, float]]:
+        # each variable plus its constant, so a base of -0.0 gives +0.0
+        u, v = _checked(float(base[0]), float(base[1]), 0.0)[:2]
+        return _by_component(calls, lambda call: call(0.0 + u, 0.0 + v))
+
+    return jets
+
+
 def eval_map_jet1(
     defn: MapDefinition,
     base: tuple[float, float],
     parameters: dict[str, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The image and the 3x2 Jacobian at ``base``, for the tracer.
-
-    Bit for bit the ``base_value`` and ``jacobian()`` of
-    ``eval_map_jet(defn, base, 1, parameters)``, with the same errors, from
-    three floats per value instead of 2x2 arrays.
-    """
-    leaves = _Jet2Order1.variables(base)
-    params = defn.bound_parameters(parameters)
-    jets = _by_component(
-        defn,
-        lambda comp: _evaluate(
-            comp, leaves, _Jet2Order1.constant, _METHOD_FUNCTIONS, params
-        ),
-    )
-    return np.array([j.value for j in jets]), np.array([[j.du, j.dv] for j in jets])
+    """The image and the 3x2 Jacobian at ``base``, bit for bit the
+    ``base_value`` and ``jacobian()`` of ``eval_map_jet(defn, base, 1,
+    parameters)``, with the same errors."""
+    jets = stage_map_jet1(defn, parameters)(base)
+    return np.array([j[0] for j in jets]), np.array([j[1:] for j in jets])

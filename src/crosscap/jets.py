@@ -446,100 +446,6 @@ def elementary(
     return acc
 
 
-class _Jet2Order1:
-    """A ``Jet2`` of order 1 as three Python floats, for the double-point
-    tracer, which reads only values and first partials.
-
-    ``value``, ``du`` and ``dv`` are the coefficients of 1, u and v.  Each
-    operation repeats the float operations of ``Jet2`` at order 1 in the
-    same order: a product starts every entry at +0.0 and skips a zero
-    coefficient of its left factor, in ``_shift_add``'s loop order; a power
-    multiplies from ``constant(1.0)``, a negative one through ``pow_int``; a
-    quotient is ``self * other**-1``; and the functions take their series
-    from ``_univariate_series``, as ``elementary`` does.  Every entry thus
-    has the bits of the ``Jet2`` coefficient, signed zeros included, and
-    JetDomainError is raised wherever ``Jet2`` raises it.
-    """
-
-    __slots__ = ("value", "du", "dv")
-
-    def __init__(self, value: float, du: float, dv: float):
-        if not (math.isfinite(value) and math.isfinite(du) and math.isfinite(dv)):
-            raise JetDomainError("jet coefficients beyond float range")
-        self.value = value
-        self.du = du
-        self.dv = dv
-
-    @classmethod
-    def constant(cls, value: float) -> "_Jet2Order1":
-        return cls(value, 0.0, 0.0)
-
-    @classmethod
-    def variables(cls, base: tuple[float, float]) -> tuple:
-        """The jets of u and v about ``base``, each a variable plus a
-        constant, so a base of -0.0 gives +0.0."""
-        return (
-            cls(0.0, 1.0, 0.0) + cls.constant(float(base[0])),
-            cls(0.0, 0.0, 1.0) + cls.constant(float(base[1])),
-        )
-
-    def __add__(self, other: "_Jet2Order1") -> "_Jet2Order1":
-        return _Jet2Order1(
-            self.value + other.value, self.du + other.du, self.dv + other.dv
-        )
-
-    def __sub__(self, other: "_Jet2Order1") -> "_Jet2Order1":
-        return _Jet2Order1(
-            self.value - other.value, self.du - other.du, self.dv - other.dv
-        )
-
-    def __neg__(self) -> "_Jet2Order1":
-        return _Jet2Order1(-self.value, -self.du, -self.dv)
-
-    def __mul__(self, other: "_Jet2Order1") -> "_Jet2Order1":
-        # _shift_add's terms (j, k) = (0, 0), (0, 1), (1, 0) of self
-        value = du = dv = 0.0
-        if self.value != 0.0:
-            value += self.value * other.value
-            du += self.value * other.du
-            dv += self.value * other.dv
-        if self.dv != 0.0:
-            dv += self.dv * other.value
-        if self.du != 0.0:
-            du += self.du * other.value
-        return _Jet2Order1(value, du, dv)
-
-    def scale(self, factor: float) -> "_Jet2Order1":
-        return _Jet2Order1(self.value * factor, self.du * factor, self.dv * factor)
-
-    def __pow__(self, m: int) -> "_Jet2Order1":
-        if m >= 0:
-            acc = _Jet2Order1.constant(1.0)
-            for _ in range(m):
-                acc = acc * self
-            return acc
-        value, rest = self.split_constant()
-        return rest.elementary("pow_int", value, exponent=m)
-
-    def __truediv__(self, other: "_Jet2Order1") -> "_Jet2Order1":
-        return self * other**-1
-
-    def split_constant(self) -> tuple[float, "_Jet2Order1"]:
-        return self.value, _Jet2Order1(0.0, self.du, self.dv)
-
-    def elementary(
-        self, tag: str, center_value: float, exponent: int | None = None
-    ) -> "_Jet2Order1":
-        """``elementary(tag, self, center_value, exponent)`` at order 1, for
-        a centred ``self``."""
-        series = _univariate_series(tag, float(center_value), 1, exponent)
-        acc = _Jet2Order1.constant(series[0])
-        power = _Jet2Order1.constant(1.0) * self
-        if series[1] != 0.0:
-            acc = acc + power.scale(series[1])
-        return acc
-
-
 class _JetBatch:
     """``Jet2`` values at many base points at once, for the grid search.
 

@@ -19,7 +19,7 @@ import pytest
 
 import crosscap
 from crosscap import cli
-from crosscap.cli import MAX_ARC_STEPS, MAX_GRID, main
+from crosscap.cli import MAX_ARC_STEPS, MAX_GRID, MAX_SWEEP, main
 from crosscap.expressions import MAX_DEPTH, MAX_NESTING
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -443,6 +443,27 @@ def test_selfint_rejects_parameter_sweeps(capsys):
     assert "sweep" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "component, step, message",
+    [
+        # the guarded log keeps |v| < sqrt(3e-4), which excludes the seed
+        ("v^2 + 0*log(0.0003 - v^2)", "0.01", "failed to converge on the double-point seed"),
+        # the domain ends at the seed offset, so no continuation step succeeds
+        ("v^2 + 0*log(1 - 1000000000000*(v^2 - 0.0004))", "0.005", "step collapsed"),
+    ],
+)
+def test_selfint_reports_tracer_failures_as_e_seed(capsys, tmp_path, component, step, message):
+    request = _request_file(
+        tmp_path, {"components": ["u", "u*v", component], "order": 4, "point": [0, 0]}
+    )
+    rc, out, err = _run(capsys, ["selfint", "--map", request, "--span", "1", "--step", step])
+    payload = json.loads(out)
+    assert rc == 2
+    assert payload["error"]["code"] == "E_SEED"
+    assert message in payload["error"]["message"]
+    assert err == f"error [E_SEED]: {payload['error']['message']}\n"
+
+
 def test_mesh_samples_the_grid_with_exact_corners(capsys, tmp_path):
     out = tmp_path / "mesh.csv"
     rc = main(
@@ -628,6 +649,42 @@ def test_work_beyond_the_budget_is_refused_at_once(capsys, command, flags, messa
     assert rc == 1
     assert payload["error"]["code"] == "E_PARSE"
     assert message in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "selfint", "mesh"])
+def test_a_sweep_beyond_the_budget_is_refused_at_once(capsys, tmp_path, command):
+    # ten parameters of ten values each make 10^10 combinations
+    parameters = {f"p{i}": [float(x) for x in range(10)] for i in range(10)}
+    request = _request_file(
+        tmp_path, {"components": ["u", "u*v + v^3", "p0*u^2 + v^2"], "parameters": parameters}
+    )
+    start = time.perf_counter()
+    rc, payload, _ = _run_json(capsys, [command, "--map", request])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert payload["error"]["code"] == "E_PARSE"
+    assert f"at most {MAX_SWEEP} combinations" in payload["error"]["message"]
+
+
+def test_a_sweep_at_the_budget_runs_and_one_more_combination_is_refused(capsys, monkeypatch):
+    # sweep.json sweeps c over four values
+    monkeypatch.setattr(cli, "MAX_SWEEP", 4)
+    rc, report, _ = _run_json(capsys, ["analyze", "--map", _fixture("sweep.json")])
+    assert rc == 0
+    assert len(report["entries"]) == 4
+    monkeypatch.setattr(cli, "MAX_SWEEP", 3)
+    rc, payload, _ = _run_json(capsys, ["analyze", "--map", _fixture("sweep.json")])
+    assert rc == 1
+    assert "at most 3 combinations" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["selfint", "mesh"])
+def test_single_surface_commands_refuse_a_sweep_from_its_count(capsys, monkeypatch, command):
+    # the combinations are never made: calling None would raise TypeError
+    monkeypatch.setattr(cli, "_sweep_combinations", None)
+    rc, payload, _ = _run_json(capsys, [command, "--map", _fixture("sweep.json")])
+    assert rc == 1
+    assert payload["error"]["message"] == f"{command} does not support parameter sweeps"
 
 
 def _deep_request(tmp_path, depth: int) -> str:

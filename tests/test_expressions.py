@@ -29,6 +29,7 @@ from crosscap.expressions import (
     expr_to_text,
     parse_expr,
     parse_map_definition,
+    stage_map_jet1,
 )
 
 RNG_SEED = 20260814
@@ -715,3 +716,42 @@ def test_order1_jets_match_the_jet_at_failures_and_signed_zeros(component):
     defn = parse_map_definition(["u", "v", component])
     for base in [(0.0, 0.0), (-0.0, -0.0), (-1.0, 0.0), (1.0, -1.0), (1.5, 0.25), (0.5, -0.0)]:
         _assert_order1_matches_jet(defn, base)
+
+
+@pytest.mark.parametrize(
+    "components, kinds",
+    [
+        # log(u) leaves its domain at u <= 0, the power of v overflows at
+        # large |v|, and the quotient meets a negative power of zero at v = 0.5
+        (("log(u) + v", "1e300*v^4*u + u*v", "sqrt(1 + u^2)/(v - 0.5)"),
+         {"ok", "domain", "range"}),
+        # exp overflows at large u, log(v) fails at v <= 0, and every other
+        # base reaches the unbound parameter c
+        (("exp(u)", "log(v)", "u*v + c"), {"domain", "range", "unbound"}),
+    ],
+)
+def test_a_staged_map_gives_each_base_what_a_fresh_jet_gives(components, kinds):
+    defn = parse_map_definition(list(components))
+    jets = stage_map_jet1(defn)
+    rng = np.random.default_rng(RNG_SEED)
+    special = [0.0, -0.0, 0.5, -1.0, 2.0, 1e3, -1e3, 1e80, 800.0, 1e-310]
+    bases = [tuple(rng.choice(special, 2)) for _ in range(100)]
+    bases += [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(100)]
+    seen = set()
+    for base in bases:
+        try:
+            jet = eval_map_jet(defn, base, 1)
+        except (JetDomainError, UnboundParameterError) as exc:
+            with pytest.raises(type(exc)) as info:
+                jets(base)
+            assert str(info.value) == str(exc)
+            if isinstance(exc, UnboundParameterError):
+                seen.add("unbound")
+            else:
+                seen.add("range" if "range" in str(exc) else "domain")
+            continue
+        value, du, dv = np.array(jets(base)).T
+        assert value.tobytes() == np.array(jet.base_value).tobytes()
+        assert np.column_stack([du, dv]).tobytes() == jet.jacobian().tobytes()
+        seen.add("ok")
+    assert seen == kinds
