@@ -25,7 +25,7 @@ from .errors import (
     SingularPointError,
     StepCollapseError,
 )
-from .expressions import MapDefinition, eval_map_jet1, stage_map_jet1
+from .expressions import MapDefinition, stage_map_jet1
 from .jets import diffeo_invert
 from .locate import CrossCapCertificate
 from .normal_form import reduce_to_normal_form
@@ -36,7 +36,6 @@ __all__ = [
     "curve_to_csv",
     "trace_double_points",
     "transversality_check",
-    "unit_normal",
 ]
 
 RESIDUAL_BOUND = 1e-8
@@ -60,21 +59,6 @@ def _normal(
             f"point {q} is singular; the normal direction is undefined"
         )
     return c / cn
-
-
-def unit_normal(
-    defn: MapDefinition,
-    q: tuple[float, float],
-    parameters: dict[str, float] | None = None,
-) -> np.ndarray:
-    """The unit normal (f_u x f_v)/|f_u x f_v| at a regular point.
-
-    Public, as the README's module table lists it; ``transversality_check``
-    uses the same ``_normal`` on the Jacobians the tracer keeps.
-    """
-    _, jac = eval_map_jet1(defn, q, parameters)
-    f_u, f_v = jac[:, 0], jac[:, 1]
-    return _normal(np.cross(f_u, f_v), f_u, f_v, q)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,8 @@ __all__ = [
     "Parameter",
     "Unary",
     "Var",
-    "eval_expr_jet",
     "eval_expr_point",
     "eval_map_jet",
-    "eval_map_jet1",
     "eval_map_jets",
     "eval_map_point",
     "eval_map_points",
@@ -362,13 +360,8 @@ def _jet_function(name: str, jet: Jet2) -> Jet2:
 _JET_FUNCTIONS = {name: partial(_jet_function, name) for name in _FUNCTIONS}
 
 
-def _method_function(name: str, jet):
-    """For ``_JetBatch``, whose ``elementary`` is a method."""
-    value, rest = jet.split_constant()
-    return rest.elementary(name, value)
-
-
-_METHOD_FUNCTIONS = {name: partial(_method_function, name) for name in _FUNCTIONS}
+# for ``_JetBatch``, whose ``series`` method expands the functions
+_METHOD_FUNCTIONS = {name: operator.methodcaller("series", name) for name in _FUNCTIONS}
 
 
 def _guarded(fn):
@@ -524,16 +517,6 @@ def _expand(expr: Expr, leaves: tuple[Jet2, Jet2], params: dict[str, float]) -> 
         return _evaluate(expr, leaves, number, _JET_FUNCTIONS, params)
 
 
-def eval_expr_jet(
-    expr: Expr,
-    base: tuple[float, float],
-    order: int,
-    params: dict[str, float],
-) -> Jet2:
-    """Taylor expansion of the expression about ``base``, constant term kept."""
-    return _expand(expr, _jet_leaves(base, order), params)
-
-
 # -- map definitions ----------------------------------------------------------
 
 
@@ -613,7 +596,7 @@ def eval_map_jets(
     order: int,
     parameters: dict[str, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_map_jet`` at many base points at once, for order >= 1.
+    """``eval_map_jet`` at many base points at once.
 
     ``bases`` has shape ``(points, 2)``.  Returns the uncentred coefficients,
     shape ``(points, 3, order+1, order+1)``, and a mask of the points where
@@ -623,26 +606,20 @@ def eval_map_jets(
     """
     params = defn.bound_parameters(parameters)
     count = len(bases)
-    shape = (count, order + 1, order + 1)
-    base_u, base_v = np.zeros(shape), np.zeros(shape)
-    # as in _jet_leaves: the variable plus the constant, so a base of -0.0
-    # gives +0.0
-    base_u[:, 0, 0] += bases[:, 0]
-    base_v[:, 0, 0] += bases[:, 1]
-    base_u[:, 1, 0] += 1.0
-    base_v[:, 0, 1] += 1.0
-    out = np.zeros((count, 3) + shape[1:])
-    failed = np.zeros(count, bool)
-    # a point that fails in one component stays failed in the next; once
-    # every point has failed, _JetBatch raises and the walk stops
+    out = np.zeros((count, 3, order + 1, order + 1))
+    # a base point beyond float range fails whatever the map, as in
+    # eval_map_jet; a point that fails in one component stays failed in the
+    # next; once every point has failed, _JetBatch raises and the walk stops
+    failed = ~np.isfinite(bases).all(axis=1)
     try:
-        number = _JetBatch(np.zeros(shape), failed).constant
+        u, v = _JetBatch.variables(bases, order, failed)
+        number = u.constant  # fails only where the base point does
         with np.errstate(all="ignore"):
             for index, comp in enumerate(defn.components):
-                leaves = (_JetBatch(base_u, failed), _JetBatch(base_v, failed))
+                leaves = (_JetBatch(u.coeffs, failed), _JetBatch(v.coeffs, failed))
                 value = _evaluate(comp, leaves, number, _METHOD_FUNCTIONS, params)
                 failed = failed | value.failed
-                out[:, index] = value.coeffs
+                out[:, index] = value.square()
     except JetDomainError:
         failed = np.ones(count, bool)
     return out, failed
@@ -824,15 +801,3 @@ def stage_map_jet1(defn: MapDefinition, parameters: dict[str, float] | None = No
         return _by_component(calls, lambda call: call(0.0 + u, 0.0 + v))
 
     return jets
-
-
-def eval_map_jet1(
-    defn: MapDefinition,
-    base: tuple[float, float],
-    parameters: dict[str, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The image and the 3x2 Jacobian at ``base``, bit for bit the
-    ``base_value`` and ``jacobian()`` of ``eval_map_jet(defn, base, 1,
-    parameters)``, with the same errors."""
-    jets = stage_map_jet1(defn, parameters)(base)
-    return np.array([j[0] for j in jets]), np.array([j[1:] for j in jets])

@@ -446,10 +446,39 @@ def elementary(
     return acc
 
 
+@lru_cache(maxsize=None)
+def _packed_plan(entries: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The triangle of ``entries`` packed entries, and ``_shift_add``'s
+    products on it.
+
+    Entry ``t`` holds ``(rows[t], cols[t])``, in the order of the loop of
+    ``_shift_add``: j outer, k inner.  Each term of that loop after the
+    first is ``(t, targets, sources)``: the packed index of its ``(j, k)``,
+    the entries ``(j + p, k + q)`` it reaches and the entries ``(p, q)``
+    of the other factor that reach them, as slices where they are runs.
+    """
+    order = (math.isqrt(8 * entries + 1) - 3) // 2
+    pairs = [(j, k) for j in range(order + 1) for k in range(order + 1 - j)]
+    index = {jk: t for t, jk in enumerate(pairs)}
+
+    def runs(ix: list[int]):
+        run = list(range(ix[0], ix[-1] + 1))
+        return slice(ix[0], ix[-1] + 1) if ix == run else np.array(ix)
+
+    terms = []
+    for t, (j, k) in enumerate(pairs[1:], 1):
+        reached = [(p, q) for p, q in pairs if p + q <= order - j - k]
+        targets = [index[j + p, k + q] for p, q in reached]
+        terms.append((t, runs(targets), runs([index[pq] for pq in reached])))
+    rows, cols = (np.array(axis) for axis in zip(*pairs))
+    return rows, cols, tuple(terms)
+
+
 class _JetBatch:
     """``Jet2`` values at many base points at once, for the grid search.
 
-    ``coeffs`` has a leading seed axis, shape ``(seeds, order+1, order+1)``;
+    ``coeffs`` holds the triangle packed in the entry order of
+    ``_packed_plan``, with the seeds last: shape ``(entries, seeds)``.
     ``failed`` marks the seeds whose evaluation has left the domain of the
     map or float range.  Each operation repeats the arithmetic of ``Jet2``
     seed by seed and term by term, so a seed that does not fail gets the
@@ -462,18 +491,39 @@ class _JetBatch:
     __slots__ = ("coeffs", "failed")
 
     def __init__(self, coeffs: np.ndarray, failed: np.ndarray):
-        coeffs = np.where(_triangle_mask(coeffs.shape[-1] - 1), coeffs, 0.0)
-        failed = failed | ~np.isfinite(coeffs).all(axis=(1, 2))
+        failed = failed | ~np.isfinite(coeffs).all(axis=0)
         if failed.all():
             raise JetDomainError("the expansion failed at every base point")
         self.coeffs = coeffs
         self.failed = failed
 
-    def constant(self, value) -> "_JetBatch":
-        """A constant (a float, or one per seed) of the same shape, failing
-        wherever this value has failed."""
+    @classmethod
+    def variables(
+        cls, bases: np.ndarray, order: int, failed: np.ndarray
+    ) -> tuple["_JetBatch", "_JetBatch"]:
+        """u and v about each of ``bases``, shape ``(seeds, 2)``; as in
+        ``Jet2``, the variable plus the constant, so a base of -0.0 gives
+        +0.0."""
+        leaves = np.zeros((2, (order + 1) * (order + 2) // 2, len(bases)))
+        leaves[:, 0] += bases.T
+        if order >= 1:
+            leaves[0, order + 1] += 1.0
+            leaves[1, 1] += 1.0
+        return cls(leaves[0], failed), cls(leaves[1], failed)
+
+    def square(self) -> np.ndarray:
+        """The coefficients as ``Jet2`` holds them, one square per seed:
+        shape ``(seeds, order+1, order+1)``, zero above the anti-diagonal."""
+        rows, cols, _ = _packed_plan(len(self.coeffs))
+        out = np.zeros((self.coeffs.shape[1], rows[-1] + 1, rows[-1] + 1))
+        out[:, rows, cols] = self.coeffs.T
+        return out
+
+    def constant(self, value: float) -> "_JetBatch":
+        """A constant of the same shape, failing wherever this value has
+        failed."""
         arr = np.zeros_like(self.coeffs)
-        arr[:, 0, 0] = value
+        arr[0] = value
         return _JetBatch(arr, self.failed)
 
     def __add__(self, other: "_JetBatch") -> "_JetBatch":
@@ -486,55 +536,65 @@ class _JetBatch:
         return _JetBatch(-self.coeffs, self.failed)
 
     def __mul__(self, other: "_JetBatch") -> "_JetBatch":
-        # the loop of _shift_add without its zero test: a zero coefficient
-        # adds +-0 to entries that start at +0.0, which changes no bit while
-        # the factors are finite (a seed with a non-finite one has failed)
+        # the terms of _shift_add, each entry in its order, without its zero
+        # test: a zero coefficient adds +-0 to entries that start at +0.0,
+        # which changes no bit while the factors are finite (a seed with a
+        # non-finite one has failed).  The first term reaches every entry.
         a, b = self.coeffs, other.coeffs
-        n = a.shape[-1]
-        out = np.zeros_like(a)
-        for j in range(n):
-            for k in range(n - j):
-                out[:, j:, k:] += a[:, j, k, None, None] * b[:, : n - j, : n - k]
+        out = a[0] * b
+        out += 0.0
+        for t, targets, sources in _packed_plan(len(a))[2]:
+            out[targets] += a[t] * b[sources]
         return _JetBatch(out, self.failed | other.failed)
 
     def __pow__(self, m: int) -> "_JetBatch":
-        if m >= 0:
-            acc = self.constant(1.0)
-            for _ in range(m):
-                acc = acc * self
-            return acc
-        value, rest = self.split_constant()
-        return rest.elementary("pow_int", value, exponent=m)
+        if m < 0:
+            return self.series("pow_int", m)
+        # constant(1.0) * self is self + 0.0 at every seed that has not
+        # failed: its first term is 0.0 + 1.0 * x, never -0.0, and the
+        # later ones add 0.0 * x, which is +-0.0
+        acc = _JetBatch(self.coeffs + 0.0, self.failed) if m else self.constant(1.0)
+        for _ in range(m - 1):
+            acc = acc * self
+        return acc
 
     def __truediv__(self, other: "_JetBatch") -> "_JetBatch":
         return self * other**-1
 
-    def split_constant(self) -> tuple[np.ndarray, "_JetBatch"]:
+    def series(self, tag: str, exponent: int | None = None) -> "_JetBatch":
+        """``elementary(tag, rest, value, exponent)`` for ``self = value +
+        rest`` at every seed.  The series comes from ``math`` once per
+        distinct value, told apart by its bits, so that -0.0 and +0.0, which
+        ``==`` would merge, each get their own; the seeds whose series fails
+        fail alone."""
         arr = self.coeffs.copy()
-        arr[:, 0, 0] = 0.0
-        return self.coeffs[:, 0, 0], _JetBatch(arr, self.failed)
-
-    def elementary(
-        self, tag: str, center_value: np.ndarray, exponent: int | None = None
-    ) -> "_JetBatch":
-        """``elementary`` at every seed; the series comes from ``math``, seed
-        by seed, and a seed whose series fails fails alone."""
-        n = self.coeffs.shape[-1] - 1
+        arr[0] = 0.0
+        rest = _JetBatch(arr, self.failed)
+        n = _packed_plan(len(arr))[0][-1]
         failed = self.failed.copy()
-        series = np.zeros((len(failed), n + 1))
-        for s in np.flatnonzero(~failed):
+        live = np.flatnonzero(~failed)
+        centres = self.coeffs[0, live]
+        _, first, inverse = np.unique(
+            centres.view(np.int64), return_index=True, return_inverse=True
+        )
+        table = np.zeros((len(first), n + 1))
+        bad = np.zeros(len(first), bool)
+        for i, at in enumerate(first):
             try:
-                series[s] = _univariate_series(tag, float(center_value[s]), n, exponent)
+                table[i] = _univariate_series(tag, float(centres[at]), n, exponent)
             except (JetDomainError, ArithmeticError, ValueError):
-                failed[s] = True
-        arr = np.zeros_like(self.coeffs)
-        arr[:, 0, 0] = series[:, 0]
-        acc = _JetBatch(arr, failed)
-        power = acc.constant(1.0)
+                bad[i] = True
+        series = np.zeros((n + 1, len(failed)))
+        series[:, live] = table[inverse].T
+        failed[live] = bad[inverse]
+        start = np.zeros_like(arr)
+        start[0] = series[0]
+        acc = _JetBatch(start, failed)
         for k in range(1, n + 1):
-            power = power * self
-            term = _JetBatch(power.coeffs * series[:, k, None, None], power.failed)
-            used = (series[:, k] != 0.0)[:, None, None]
+            # the first power is constant(1.0) * rest, as in __pow__
+            power = _JetBatch(rest.coeffs + 0.0, acc.failed) if k == 1 else power * rest
+            term = _JetBatch(power.coeffs * series[k], power.failed)
+            used = series[k] != 0.0
             summed = np.where(used, acc.coeffs + term.coeffs, acc.coeffs)
             acc = _JetBatch(summed, term.failed)
         return acc
@@ -619,26 +679,6 @@ class MapJet3:
             [c.truncate(order) for c in self.components],
             self.base_point,
             self.base_value,
-        )
-
-    # rotate_target and translate_target are the target half of a
-    # congruence, as precompose is the source half; the tests move jets
-    # with them to check that certification and the invariants do not change
-    def rotate_target(self, matrix: np.ndarray) -> "MapJet3":
-        """Apply a 3x3 linear map on the target side."""
-        m = np.asarray(matrix, dtype=float)
-        comps = [
-            m[i, 0] * self.components[0]
-            + m[i, 1] * self.components[1]
-            + m[i, 2] * self.components[2]
-            for i in range(3)
-        ]
-        return MapJet3(comps, self.base_point, tuple(m @ np.array(self.base_value)))
-
-    def translate_target(self, offset: np.ndarray) -> "MapJet3":
-        t = np.asarray(offset, dtype=float)
-        return MapJet3(
-            self.components, self.base_point, tuple(np.array(self.base_value) + t)
         )
 
     def precompose(self, phi_u: Jet2, phi_v: Jet2) -> "MapJet3":

@@ -93,14 +93,23 @@ def _cross_residual(jet: MapJet3) -> np.ndarray:
     return np.cross(jet.f_u(), jet.f_v())
 
 
+def _cross(a: tuple, b: tuple) -> tuple:
+    """``np.cross`` of stacks of 3-vectors given by their components: its
+    products and differences in its order, so its bits."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def _residuals(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f_u x f_v and its 3x2 derivative in the base point, at every point
     of a batch of order-2 map coefficients (as from ``eval_map_jets``)."""
-    f_u, f_v, f_uv = coeffs[:, :, 1, 0], coeffs[:, :, 0, 1], coeffs[:, :, 1, 1]
-    f_uu, f_vv = 2.0 * coeffs[:, :, 2, 0], 2.0 * coeffs[:, :, 0, 2]
-    d_u = np.cross(f_uu, f_v) + np.cross(f_u, f_uv)
-    d_v = np.cross(f_uv, f_v) + np.cross(f_u, f_vv)
-    return np.cross(f_u, f_v), np.stack([d_u, d_v], axis=-1)
+    f_u, f_v, f_uv = coeffs[:, :, 1, 0].T, coeffs[:, :, 0, 1].T, coeffs[:, :, 1, 1].T
+    f_uu, f_vv = 2.0 * coeffs[:, :, 2, 0].T, 2.0 * coeffs[:, :, 0, 2].T
+    d_u = [x + y for x, y in zip(_cross(f_uu, f_v), _cross(f_u, f_uv))]
+    d_v = [x + y for x, y in zip(_cross(f_uv, f_v), _cross(f_u, f_vv))]
+    jac = np.stack([np.column_stack(d_u), np.column_stack(d_v)], axis=-1)
+    return np.column_stack(_cross(f_u, f_v)), jac
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

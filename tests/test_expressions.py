@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosscap.errors import JetDomainError, ParseError, UnboundParameterError
+from crosscap.jets import Jet2
 from crosscap.expressions import (
     Binary,
     Constant,
@@ -17,12 +18,10 @@ from crosscap.expressions import (
     Parameter,
     Unary,
     Var,
-    eval_expr_jet,
     eval_expr_point,
     MAX_DEPTH,
     MAX_NESTING,
     eval_map_jet,
-    eval_map_jet1,
     eval_map_jets,
     eval_map_point,
     eval_map_points,
@@ -286,36 +285,44 @@ def test_eval_point_unbound_parameter():
 # -- jet evaluation -------------------------------------------------------------------
 
 
+def _expr_jet(expr, base, order, params) -> Jet2:
+    """Taylor expansion of one expression about ``base``, constant term kept."""
+    jet = eval_map_jet(MapDefinition((expr, Var("u"), Var("v")), params), base, order)
+    coeffs = jet.components[0].coeffs.copy()
+    coeffs[0, 0] = jet.base_value[0]
+    return Jet2(order, coeffs)
+
+
 def test_eval_jet_polynomial_exact():
     expr = parse_expr("u*v + v^3")
-    jet = eval_expr_jet(expr, (0.0, 0.0), 4, {})
+    jet = _expr_jet(expr, (0.0, 0.0), 4, {})
     assert jet.terms() == {(1, 1): 1.0, (0, 3): 1.0}
 
 
 def test_eval_jet_recentering():
     # (u)^2 about u=3: 9 + 6 du + du^2
-    jet = eval_expr_jet(parse_expr("u^2"), (3.0, 0.0), 2, {})
+    jet = _expr_jet(parse_expr("u^2"), (3.0, 0.0), 2, {})
     assert jet.terms() == {(0, 0): 9.0, (1, 0): 6.0, (2, 0): 1.0}
 
 
 def test_eval_jet_negative_power_series():
     # 1/(1+v) about v=0: alternating geometric series
-    jet = eval_expr_jet(parse_expr("(1 + v)^-1"), (0.0, 0.0), 4, {})
+    jet = _expr_jet(parse_expr("(1 + v)^-1"), (0.0, 0.0), 4, {})
     for k in range(5):
         assert jet[0, k] == pytest.approx((-1.0) ** k)
 
 
 def test_eval_jet_division_matches_power():
-    a = eval_expr_jet(parse_expr("u/(1 + v)"), (0.0, 0.0), 5, {})
-    b = eval_expr_jet(parse_expr("u*(1 + v)^-1"), (0.0, 0.0), 5, {})
+    a = _expr_jet(parse_expr("u/(1 + v)"), (0.0, 0.0), 5, {})
+    b = _expr_jet(parse_expr("u*(1 + v)^-1"), (0.0, 0.0), 5, {})
     assert float(np.max(np.abs(a.coeffs - b.coeffs))) <= 1e-15
 
 
 def test_eval_jet_division_by_vanishing_denominator():
     with pytest.raises(JetDomainError):
-        eval_expr_jet(parse_expr("1/v"), (0.0, 0.0), 3, {})
+        _expr_jet(parse_expr("1/v"), (0.0, 0.0), 3, {})
     with pytest.raises(JetDomainError):
-        eval_expr_jet(parse_expr("v^-2"), (0.0, 0.0), 3, {})
+        _expr_jet(parse_expr("v^-2"), (0.0, 0.0), 3, {})
 
 
 def test_eval_jet_matches_finite_differences_randomized():
@@ -338,7 +345,7 @@ def test_eval_jet_matches_finite_differences_randomized():
         expr = parse_expr(text)
         for _ in range(5):
             u0, v0 = rng.uniform(-0.4, 0.4, 2)
-            jet = eval_expr_jet(expr, (u0, v0), 3, params)
+            jet = _expr_jet(expr, (u0, v0), 3, params)
 
             def point(x, y):
                 return eval_expr_point(expr, u0 + x, v0 + y, params)
@@ -362,14 +369,14 @@ def test_eval_jet_matches_finite_differences_randomized():
 
 def test_eval_jet_truncation_consistency():
     expr = parse_expr("exp(u + v^2)*sin(u - v)")
-    high = eval_expr_jet(expr, (0.1, -0.2), 8, {})
-    low = eval_expr_jet(expr, (0.1, -0.2), 4, {})
+    high = _expr_jet(expr, (0.1, -0.2), 8, {})
+    low = _expr_jet(expr, (0.1, -0.2), 4, {})
     assert float(np.max(np.abs(high.truncate(4).coeffs - low.coeffs))) <= 1e-13
 
 
 def test_eval_jet_evaluation_approximates_function():
     expr = parse_expr("exp(u)*cos(v)")
-    jet = eval_expr_jet(expr, (0.0, 0.0), 10, {})
+    jet = _expr_jet(expr, (0.0, 0.0), 10, {})
     got = jet.eval(0.1, 0.2)
     want = math.exp(0.1) * math.cos(0.2)
     assert got == pytest.approx(want, abs=1e-12)
@@ -539,6 +546,68 @@ def test_batched_jets_reach_a_parameter_only_from_a_point_that_holds():
         eval_map_jets(defn, np.array([[-1.0, 0.0], [1.0, 2.0]]), 2)
 
 
+_EDGE_COORDINATES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1e-160, -1e-100, 1e-60, 1e150, -1e150, 1e-310]
+
+
+def _edge_bases(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` base points, half drawn from values at the edges of the
+    jet arithmetic (signed zeros, subnormals, magnitudes whose products
+    overflow) and half uniform in [-2, 2]."""
+    bases = rng.choice(_EDGE_COORDINATES, (count, 2))
+    uniform = rng.random(count) < 0.5
+    bases[uniform] = rng.uniform(-2.0, 2.0, (int(uniform.sum()), 2))
+    return bases
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    st.tuples(_TREES, _TREES, _TREES),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+    st.dictionaries(st.sampled_from(["a", "c", "sin"]), _COORDINATES),
+)
+def test_large_batches_match_each_point_at_orders_0_to_4_property(trees, order, seed, params):
+    bases = _edge_bases(np.random.default_rng(seed), 200)
+    _assert_batch_matches_each_point(MapDefinition(trees, params), bases, order)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        ("(1e200*u)^2", "u*(1e300*v)", "v"),  # products overflow at some points
+        ("u/2", "v/(1 + u)", "(u - v)/(1 + u)^2"),  # constant and varying divisors
+        ("u^0 + v^1", "u^2 - v^3", "(u + v)^4 - u^5"),
+        ("(-(0*u))^1", "-(0*v)^1", "(-u)^1"),  # a first power clears -0.0
+        ("sin(-u - v)", "cos(-(u*v))", "exp(u - v)"),  # centres of both signs of zero
+        ("sin(-u) - sin(v)", "cos(u) + exp(-v)", "-0.0"),
+        ("sqrt(u)", "log(v)", "(u*v)^-1"),  # domain failures at some points
+    ],
+)
+def test_large_batches_match_each_point_at_the_edges(components):
+    defn = parse_map_definition(list(components))
+    bases = _edge_bases(np.random.default_rng(RNG_SEED), 240)
+    for order in range(5):
+        _assert_batch_matches_each_point(defn, bases, order)
+
+
+def test_batched_jets_match_each_point_at_zero_centres_of_both_signs():
+    # -u - v is +0.0 at (1, -1) and -0.0 at (0, 0): one batch expands each
+    # function about both zeros
+    defn = parse_map_definition(["sin(-u - v)", "cos(-u - v)", "exp(-u - v)"])
+    bases = np.array([[1.0, -1.0], [0.0, 0.0], [-0.0, 0.0], [0.5, 0.25]])
+    for order in range(4):
+        _assert_batch_matches_each_point(defn, bases, order)
+
+
+@pytest.mark.parametrize("components", [("2", "3", "v"), ("2", "-u", "3")])
+def test_batched_jets_fail_a_base_point_beyond_float_range(components):
+    # eval_map_jet raises at such a point even when no component reads it
+    defn = parse_map_definition(list(components))
+    bases = np.array([[math.inf, 0.0], [0.0, 1.0], [math.nan, 1.0], [1.0, -math.inf]])
+    for order in range(3):
+        _assert_batch_matches_each_point(defn, bases, order)
+
+
 # -- point arrays and order-1 jets ---------------------------------------------------
 
 _SPECIAL_COORDINATES = st.one_of(
@@ -678,12 +747,12 @@ def _assert_order1_matches_jet(defn, base):
         jet = eval_map_jet(defn, base, 1)
     except (JetDomainError, UnboundParameterError) as exc:
         with pytest.raises(type(exc)) as info:
-            eval_map_jet1(defn, base)
+            stage_map_jet1(defn)(base)
         assert str(info.value) == str(exc)
         return
-    value, jacobian = eval_map_jet1(defn, base)
-    assert value.tobytes() == np.array(jet.base_value).tobytes()
-    assert jacobian.tobytes() == jet.jacobian().tobytes()
+    jets = stage_map_jet1(defn)(base)
+    assert np.array([j[0] for j in jets]).tobytes() == np.array(jet.base_value).tobytes()
+    assert np.array([j[1:] for j in jets]).tobytes() == jet.jacobian().tobytes()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -510,21 +510,6 @@ def test_mapjet_derivative_reads_use_taylor_convention():
     assert jet.jacobian().shape == (3, 2)
 
 
-def test_mapjet_rotate_and_translate_target():
-    comps = [
-        Jet2.var_u(2),
-        Jet2.var_v(2),
-        Jet2.zeros(2),
-    ]
-    jet = MapJet3(comps, (0.0, 0.0), (1.0, 2.0, 3.0))
-    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    rotated = jet.rotate_target(swap)
-    assert rotated.base_value == (2.0, 1.0, 3.0)
-    assert rotated.components[0] == Jet2.var_v(2)
-    shifted = jet.translate_target(np.array([1.0, 1.0, 1.0]))
-    assert shifted.base_value == (2.0, 3.0, 4.0)
-
-
 def test_mapjet_requires_centred_components():
     with pytest.raises(ContractViolationError):
         MapJet3(

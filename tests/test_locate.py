@@ -45,6 +45,18 @@ def _random_so3(rng: np.random.Generator) -> np.ndarray:
     )
 
 
+def _move_target(jet: MapJet3, matrix, offset=(0.0, 0.0, 0.0)) -> MapJet3:
+    """The jet of ``matrix @ f + offset``, the target half of a congruence."""
+    m = np.asarray(matrix, dtype=float)
+    comps = [
+        m[i, 0] * jet.components[0]
+        + m[i, 1] * jet.components[1]
+        + m[i, 2] * jet.components[2]
+        for i in range(3)
+    ]
+    return MapJet3(comps, jet.base_point, m @ np.array(jet.base_value) + offset)
+
+
 # -- find_singular_points ----------------------------------------------------------
 
 
@@ -353,8 +365,7 @@ def test_whitney_det_sign_under_orientation_preserving_changes():
     base = align_kernel(F0, (0.0, 0.0), order=4)
     for _ in range(10):
         rot = _random_so3(rng)
-        jet = eval_map_jet(F0, (0.0, 0.0), 4).rotate_target(rot)
-        jet = jet.translate_target(rng.uniform(-1.0, 1.0, 3))
+        jet = _move_target(eval_map_jet(F0, (0.0, 0.0), 4), rot, rng.uniform(-1.0, 1.0, 3))
         cert = certify_jet(jet)
         assert math.copysign(1.0, cert.whitney_det) == math.copysign(
             1.0, base.whitney_det
