@@ -491,9 +491,11 @@ def cmd_mesh(args) -> int:
     combo = _require_scalar_parameters(request, "mesh")
     umin, umax, vmin, vmax = request["box"]
     grid = request["grid"]
-    # the grid as a column of u and a row of v; rows run u outer, v inner
-    us = np.linspace(umin, umax, grid)[:, None]
-    vs = np.linspace(vmin, vmax, grid)[None, :]
+    # the grid as a column of u and a row of v; rows run u outer, v inner; a
+    # box too wide for linspace gives nan coordinates, which fail below
+    with np.errstate(all="ignore"):
+        us = np.linspace(umin, umax, grid)[:, None]
+        vs = np.linspace(vmin, vmax, grid)[None, :]
     images, failed = eval_map_points(defn, us, vs, combo)
     failed |= ~np.isfinite(us) | ~np.isfinite(vs)
     if failed.any():

@@ -25,8 +25,13 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import JetDomainError, ParseError, UnboundParameterError
-from .jets import Jet2, MapJet3, _JetBatch, _univariate_series, elementary
+from .errors import (
+    ContractViolationError,
+    JetDomainError,
+    ParseError,
+    UnboundParameterError,
+)
+from .jets import _BEYOND_RANGE, Jet2, MapJet3, _JetBatch, _univariate_series
 
 __all__ = [
     "Binary",
@@ -352,14 +357,6 @@ _BINARY = {
 _POINT_FUNCTIONS = {name: getattr(math, name) for name in _FUNCTIONS}
 
 
-def _jet_function(name: str, jet: Jet2) -> Jet2:
-    value, rest = jet.split_constant()
-    return elementary(name, rest, value)
-
-
-_JET_FUNCTIONS = {name: partial(_jet_function, name) for name in _FUNCTIONS}
-
-
 # for ``_JetBatch``, whose ``series`` method expands the functions
 _METHOD_FUNCTIONS = {name: operator.methodcaller("series", name) for name in _FUNCTIONS}
 
@@ -460,8 +457,8 @@ def _lookup(name: str, params: dict[str, float]) -> float:
 
 
 def _evaluate(expr: Expr, leaves: tuple, number, functions: dict, params: dict):
-    """The one walk of an expression tree, over floats, ``Jet2`` values,
-    batches of jets or arrays of points, or staging order-1 jets.
+    """The one walk of an expression tree, over floats, batches of jets,
+    arrays of points, or staging order-1 jets.
 
     ``leaves`` are the values of u and v, ``number`` makes a value from a
     float and ``functions`` maps each function name to its action on values.
@@ -499,22 +496,6 @@ def eval_expr_point(expr: Expr, u: float, v: float, params: dict[str, float]) ->
     if not math.isfinite(value):
         raise JetDomainError(f"value {value} is beyond float range")
     return value
-
-
-def _jet_leaves(base: tuple[float, float], order: int) -> tuple[Jet2, Jet2]:
-    if order >= 1:
-        du, dv = Jet2.var_u(order), Jet2.var_v(order)
-    else:
-        du = dv = Jet2.zeros(order)
-    return du + Jet2.constant(base[0], order), dv + Jet2.constant(base[1], order)
-
-
-def _expand(expr: Expr, leaves: tuple[Jet2, Jet2], params: dict[str, float]) -> Jet2:
-    number = partial(Jet2.constant, order=leaves[0].order)
-    # the product kernel may overflow in the discarded entries above the
-    # anti-diagonal; a kept entry that is not finite fails in Jet2 itself
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _evaluate(expr, leaves, number, _JET_FUNCTIONS, params)
 
 
 # -- map definitions ----------------------------------------------------------
@@ -578,16 +559,24 @@ def eval_map_jet(
     order: int,
     parameters: dict[str, float] | None = None,
 ) -> MapJet3:
-    """Taylor-mode evaluation of all three components about ``base``.
+    """Taylor-mode evaluation of all three components about ``base``: the
+    batch of ``eval_map_jets`` at one base point.
 
     Any order >= 0 is accepted here; the normal-form pipeline separately
     requires order >= 3 for the data it reads.  Undefined values and values
-    beyond float range raise ``JetDomainError`` naming the component.
+    beyond float range raise ``JetDomainError`` naming the component; a base
+    point beyond float range raises it before any component.
     """
-    leaves = _jet_leaves(base, order)
-    params = defn.bound_parameters(parameters)
-    jets = _by_component(defn.components, lambda comp: _expand(comp, leaves, params))
-    return MapJet3.from_uncentered(jets, base)
+    if order < 0:
+        raise ContractViolationError("order must be non-negative")
+    with np.errstate(all="ignore"):
+        u, v = _JetBatch.variables(np.array([base], float), order, np.zeros(1, bool))
+        params = defn.bound_parameters(parameters)
+        values = _by_component(
+            defn.components,
+            lambda comp: _evaluate(comp, (u, v), u.constant, _METHOD_FUNCTIONS, params),
+        )
+    return MapJet3.from_uncentered([Jet2(order, x.square()[0]) for x in values], base)
 
 
 def eval_map_jets(
@@ -682,15 +671,15 @@ def eval_map_points(
 
 # -- order-1 jets staged for the tracer ----------------------------------------
 # A jet is (value, du, dv).  Each function repeats the float operations of
-# ``Jet2`` at order 1 in the same order, so every entry has the bits of the
-# ``Jet2`` coefficient, signed zeros included, and JetDomainError is raised,
-# with the same message, wherever ``Jet2`` raises it.
+# ``_JetBatch`` at order 1 in the same order, so every entry has the bits of
+# the coefficient from ``eval_map_jet``, signed zeros included, and
+# JetDomainError is raised, with the same message, wherever it raises it.
 
 
 def _checked(value: float, du: float, dv: float) -> tuple[float, float, float]:
     if isfinite(value) and isfinite(du) and isfinite(dv):
         return value, du, dv
-    raise JetDomainError("jet coefficients beyond float range")
+    raise JetDomainError(_BEYOND_RANGE)
 
 
 def _product(a: tuple, b: tuple) -> tuple[float, float, float]:
@@ -710,7 +699,7 @@ def _product(a: tuple, b: tuple) -> tuple[float, float, float]:
 
 
 def _series(jet: tuple, tag: str, exponent: int | None = None) -> tuple:
-    """``elementary(tag, rest, value, exponent)`` for ``jet = value + rest``."""
+    """``_JetBatch.series`` at order 1, for ``jet = value + rest``."""
     center, du, dv = jet
     try:
         s0, s1 = _univariate_series(tag, center, 1, exponent)

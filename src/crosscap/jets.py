@@ -35,8 +35,10 @@ __all__ = [
     "Jet2",
     "MapJet3",
     "diffeo_invert",
-    "elementary",
 ]
+
+
+_BEYOND_RANGE = "jet coefficients beyond float range"
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +150,7 @@ class Jet2:
         if not np.isfinite(arr).all():
             # the one check for values beyond float range in jet arithmetic;
             # the discarded entries above the anti-diagonal may overflow
-            raise JetDomainError("jet coefficients beyond float range")
+            raise JetDomainError(_BEYOND_RANGE)
         arr.setflags(write=False)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", arr)
@@ -157,10 +159,6 @@ class Jet2:
         raise AttributeError("Jet2 is immutable")
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zeros(cls, order: int) -> "Jet2":
-        return cls(order, np.zeros((order + 1, order + 1)))
 
     @classmethod
     def constant(cls, value: float, order: int) -> "Jet2":
@@ -228,19 +226,6 @@ class Jet2:
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, m: int) -> "Jet2":
-        """Integer power; a negative one needs a non-zero constant term."""
-        if m >= 0:
-            acc = Jet2.constant(1.0, self.order)
-            for _ in range(m):
-                acc = acc * self
-            return acc
-        value, rest = self.split_constant()
-        return elementary("pow_int", rest, value, exponent=m)
-
-    def __truediv__(self, other) -> "Jet2":
-        return self * other**-1
 
     def __getitem__(self, jk: tuple[int, int]) -> float:
         j, k = jk
@@ -411,11 +396,11 @@ def _univariate_series(tag: str, center: float, order: int, exponent: int | None
     if tag == "pow_int":
         if exponent is None:
             raise ContractViolationError("pow_int requires an integer exponent")
+        # every caller's exponent is negative; a non-negative power is a
+        # product of jets
         m = int(exponent)
         if center == 0.0:
-            if m < 0:
-                raise JetDomainError("negative power of a value vanishing at the base point")
-            return [1.0 if k == m else 0.0 for k in range(order + 1)]
+            raise JetDomainError("negative power of a value vanishing at the base point")
         out = [center**m]
         for k in range(1, order + 1):
             out.append(out[-1] * (m - (k - 1)) / (k * center))
@@ -423,27 +408,6 @@ def _univariate_series(tag: str, center: float, order: int, exponent: int | None
     raise ContractViolationError(
         f"unknown function tag {tag!r}; expected one of {_SERIES_FUNCS}"
     )
-
-
-def elementary(
-    tag: str, inner: Jet2, center_value: float, exponent: int | None = None
-) -> Jet2:
-    """Truncated expansion of ``func(center_value + inner)``.
-
-    ``inner`` must be centred.  ``tag`` is one of sin, cos, exp, log, sqrt,
-    pow_int; the last needs ``exponent``.
-    """
-    if inner.coeffs[0, 0] != 0.0:
-        raise JetDomainError("inner jet of an elementary function must be centred")
-    n = inner.order
-    series = _univariate_series(tag, float(center_value), n, exponent)
-    acc = Jet2.constant(series[0], n)
-    power = Jet2.constant(1.0, n)
-    for k in range(1, n + 1):
-        power = power * inner
-        if series[k] != 0.0:
-            acc = acc + series[k] * power
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -475,25 +439,26 @@ def _packed_plan(entries: int) -> tuple[np.ndarray, np.ndarray, tuple]:
 
 
 class _JetBatch:
-    """``Jet2`` values at many base points at once, for the grid search.
+    """Jets at many base points at once: the grid search's seeds, or the
+    one base point of ``eval_map_jet``.
 
     ``coeffs`` holds the triangle packed in the entry order of
     ``_packed_plan``, with the seeds last: shape ``(entries, seeds)``.
     ``failed`` marks the seeds whose evaluation has left the domain of the
-    map or float range.  Each operation repeats the arithmetic of ``Jet2``
-    seed by seed and term by term, so a seed that does not fail gets the
-    bits of its own ``Jet2`` evaluation.  A seed fails where ``Jet2`` would
-    raise; once every seed has failed, JetDomainError ends the walk, as it
-    would end each seed's own.  Callers silence numpy's warnings: failed
-    seeds carry on with whatever values they hold.
+    map or float range.  Each operation runs seed by seed and term by term
+    in one fixed order, so a seed that does not fail gets the same bits
+    whatever its batch-mates.  Once every seed has failed, JetDomainError
+    with ``reason`` ends the walk; with one seed, that is where and why its
+    evaluation fails.  Callers silence numpy's warnings: failed seeds carry
+    on with whatever values they hold.
     """
 
     __slots__ = ("coeffs", "failed")
 
-    def __init__(self, coeffs: np.ndarray, failed: np.ndarray):
+    def __init__(self, coeffs: np.ndarray, failed: np.ndarray, reason: str = _BEYOND_RANGE):
         failed = failed | ~np.isfinite(coeffs).all(axis=0)
         if failed.all():
-            raise JetDomainError("the expansion failed at every base point")
+            raise JetDomainError(reason)
         self.coeffs = coeffs
         self.failed = failed
 
@@ -501,9 +466,8 @@ class _JetBatch:
     def variables(
         cls, bases: np.ndarray, order: int, failed: np.ndarray
     ) -> tuple["_JetBatch", "_JetBatch"]:
-        """u and v about each of ``bases``, shape ``(seeds, 2)``; as in
-        ``Jet2``, the variable plus the constant, so a base of -0.0 gives
-        +0.0."""
+        """u and v about each of ``bases``, shape ``(seeds, 2)``: each the
+        variable plus the constant, so a base of -0.0 gives +0.0."""
         leaves = np.zeros((2, (order + 1) * (order + 2) // 2, len(bases)))
         leaves[:, 0] += bases.T
         if order >= 1:
@@ -536,15 +500,19 @@ class _JetBatch:
         return _JetBatch(-self.coeffs, self.failed)
 
     def __mul__(self, other: "_JetBatch") -> "_JetBatch":
-        # the terms of _shift_add, each entry in its order, without its zero
-        # test: a zero coefficient adds +-0 to entries that start at +0.0,
-        # which changes no bit while the factors are finite (a seed with a
-        # non-finite one has failed).  The first term reaches every entry.
+        # the terms of _shift_add, each entry in its order.  Its zero test
+        # applies to a whole row: a term whose coefficient is zero at every
+        # seed is skipped, and one that is zero at some seeds adds +-0 there
+        # to entries that start at +0.0, which changes no bit while the
+        # factors are finite (a seed with a non-finite one has failed).  The
+        # first term reaches every entry.
         a, b = self.coeffs, other.coeffs
+        nonzero = a.any(axis=1).tolist()
         out = a[0] * b
         out += 0.0
         for t, targets, sources in _packed_plan(len(a))[2]:
-            out[targets] += a[t] * b[sources]
+            if nonzero[t]:
+                out[targets] += a[t] * b[sources]
         return _JetBatch(out, self.failed | other.failed)
 
     def __pow__(self, m: int) -> "_JetBatch":
@@ -562,11 +530,13 @@ class _JetBatch:
         return self * other**-1
 
     def series(self, tag: str, exponent: int | None = None) -> "_JetBatch":
-        """``elementary(tag, rest, value, exponent)`` for ``self = value +
-        rest`` at every seed.  The series comes from ``math`` once per
+        """The function ``tag`` of ``_univariate_series`` (with
+        ``exponent`` for pow_int) of ``self = value + rest`` at every seed:
+        the sum over k of ``series[k] * rest**k``, skipping the terms whose
+        coefficient is zero.  The series comes from ``math`` once per
         distinct value, told apart by its bits, so that -0.0 and +0.0, which
         ``==`` would merge, each get their own; the seeds whose series fails
-        fail alone."""
+        fail alone, and its message is the reason when none is left."""
         arr = self.coeffs.copy()
         arr[0] = 0.0
         rest = _JetBatch(arr, self.failed)
@@ -579,17 +549,19 @@ class _JetBatch:
         )
         table = np.zeros((len(first), n + 1))
         bad = np.zeros(len(first), bool)
+        reason = _BEYOND_RANGE
         for i, at in enumerate(first):
             try:
                 table[i] = _univariate_series(tag, float(centres[at]), n, exponent)
-            except (JetDomainError, ArithmeticError, ValueError):
+            except (JetDomainError, ArithmeticError, ValueError) as exc:
                 bad[i] = True
+                reason = str(exc)
         series = np.zeros((n + 1, len(failed)))
         series[:, live] = table[inverse].T
         failed[live] = bad[inverse]
         start = np.zeros_like(arr)
         start[0] = series[0]
-        acc = _JetBatch(start, failed)
+        acc = _JetBatch(start, failed, reason)
         for k in range(1, n + 1):
             # the first power is constant(1.0) * rest, as in __pow__
             power = _JetBatch(rest.coeffs + 0.0, acc.failed) if k == 1 else power * rest

@@ -10,6 +10,7 @@ independent at the point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +225,13 @@ def _first_copies(rows: np.ndarray) -> np.ndarray:
     return rows[np.sort(first)]
 
 
+def _within_merge_radius(du: float, dv: float) -> bool:
+    try:
+        return du**2 + dv**2 <= MERGE_RADIUS**2
+    except OverflowError:  # a square beyond float range is far outside it
+        return False
+
+
 def find_singular_points(
     defn: MapDefinition,
     search_box: tuple[float, float, float, float],
@@ -236,13 +244,20 @@ def find_singular_points(
     ``search_box`` is (umin, umax, vmin, vmax); ``grid`` x ``grid`` seeds are
     refined and converged points with residual <= tol_singular are merged
     within radius 1e-6 and sorted by residual.  The seeds are refined
-    together, ``SEED_BLOCK`` at a time.
+    together, ``SEED_BLOCK`` at a time.  A box whose width or midpoint is
+    beyond float range has no seed grid and is refused.
     """
     umin, umax, vmin, vmax = (float(x) for x in search_box)
     if not (umin < umax and vmin < vmax):
         raise ContractViolationError("search box must be nondegenerate")
     if grid < 2:
         raise ContractViolationError("grid must be at least 2")
+    # in Python floats, which overflow to inf with no warning
+    spans = (umax - umin, vmax - vmin, 0.5 * (umin + umax), 0.5 * (vmin + vmax))
+    if not all(math.isfinite(x) for x in spans):
+        raise ContractViolationError(
+            "search box must have a width and a midpoint within float range"
+        )
     mu = 0.5 * (umax - umin)
     mv = 0.5 * (vmax - vmin)
     bounds = (umin - mu, umax + mu, vmin - mv, vmax + mv)
@@ -264,10 +279,7 @@ def find_singular_points(
     merged: list[tuple[float, float, float]] = []
     for row in accepted:
         rn, qu, qv = row.tolist()
-        if any(
-            (qu - pu) ** 2 + (qv - pv) ** 2 <= MERGE_RADIUS**2
-            for _, pu, pv in merged
-        ):
+        if any(_within_merge_radius(qu - pu, qv - pv) for _, pu, pv in merged):
             continue
         merged.append((rn, qu, qv))
     return [SingularCandidate(point=(qu, qv), residual=rn) for rn, qu, qv in merged]

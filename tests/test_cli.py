@@ -591,14 +591,46 @@ def test_mesh_writes_the_same_bytes_to_a_file_and_to_stdout(capsys, tmp_path):
 )
 def test_a_failing_mesh_row_gives_its_own_message(capsys, tmp_path, components, box, grid, message):
     request = _request_file(tmp_path, {"components": components})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # linspace over 1e308
-        rc, payload, err = _run_json(
-            capsys, ["mesh", "--map", request, f"--box={box}", "--grid", str(grid)]
-        )
+    rc, payload = _run_json_without_warnings(
+        capsys, ["mesh", "--map", request, f"--box={box}", "--grid", str(grid)]
+    )
     assert rc == 1
     assert payload["error"] == {"code": "E_PARSE", "message": message}
-    assert "Traceback" not in err
+
+
+_BOX_REFUSAL = "search box must have a width and a midpoint within float range"
+
+
+@pytest.mark.parametrize(
+    "command, box, code, message",
+    [
+        # the width overflows: no seed grid
+        ("analyze", "-1e308,1e308,-1,1", "E_PARSE", _BOX_REFUSAL),
+        ("selfint", "-1,1,-1e308,1e308", "E_PARSE", _BOX_REFUSAL),
+        # the midpoint overflows
+        ("analyze", "1e308,1.7e308,-1,1", "E_PARSE", _BOX_REFUSAL),
+        ("mesh", "-1e308,1e308,-1,1", "E_PARSE", "report fields must be finite"),
+    ],
+)
+def test_a_box_beyond_float_range_is_refused_without_a_warning(capsys, tmp_path, command, box, code, message):
+    request = _request_file(tmp_path, {"components": ["v", "v^2", "v^3"]})
+    rc, payload = _run_json_without_warnings(
+        capsys, [command, "--map", request, f"--box={box}", "--grid", "3"]
+    )
+    assert rc == 1
+    assert payload["error"] == {"code": code, "message": message}
+
+
+def test_candidates_farther_apart_than_a_float_square_are_not_merged(capsys, tmp_path):
+    # f_u vanishes everywhere, so every seed converges where it starts; the
+    # squared distances between them overflow
+    request = _request_file(tmp_path, {"components": ["v", "v^2", "v^3"]})
+    rc, report = _run_json_without_warnings(
+        capsys, ["analyze", "--map", request, "--box=1e154,1e155,-1,1", "--grid", "3"]
+    )
+    assert rc == 2
+    (entry,) = report["entries"]
+    assert [w["code"] for w in entry["warnings"]] == ["E_WHITNEY"] * 9
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosscap.errors import JetDomainError, ParseError, UnboundParameterError
+from crosscap.errors import (
+    ContractViolationError,
+    JetDomainError,
+    ParseError,
+    UnboundParameterError,
+)
 from crosscap.jets import Jet2
 from crosscap.expressions import (
     Binary,
@@ -427,6 +436,120 @@ def test_map_jet_unbound_parameter():
     defn = parse_map_definition(["u", "v", "c*u^2"])
     with pytest.raises(UnboundParameterError):
         eval_map_jet(defn, (0.0, 0.0), 3)
+
+
+@pytest.mark.parametrize("order", [-1, -2, -5])
+def test_map_jet_rejects_a_negative_order(order):
+    with pytest.raises(ContractViolationError, match="order must be non-negative"):
+        eval_map_jet(parse_map_definition(["u", "v", "u*v"]), (0.0, 0.0), order)
+
+
+# -- the expansion pinned on a fixed corpus ---------------------------------------------
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+_PIN_BASES = [
+    (0.0, 0.0), (-0.0, 0.0), (0.5, -0.25), (-1.0, 1.0), (1.5, 0.25), (1e-160, -1e-100), (2.0, -3.0),
+]
+_ERROR_MAPS = [
+    ("log(u)", "sqrt(v)", "u*v"),
+    ("1/u", "v^-2", "(u - v)^-1"),
+    ("exp(1000*u)", "(1e200*u)^2", "u*(1e300*v)"),
+    ("sin(u)", "cos(v)", "c*u"),
+    ("log(1 + u)", "sqrt(2 + v)", "(1 + u*v)^-3"),
+    ("sqrt(u)", "log(-v)", "(u*v)^-1"),
+]
+_ERROR_BASES = [
+    (0.0, 0.0), (-0.0, -0.0), (math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0),
+    (1e300, 1.0), (1.0, 1e300), (-1e300, -1.0), (1e-300, 1e-300),
+]
+
+
+def _random_tree_text(rng, depth: int) -> str:
+    """A map component in the parser's grammar, drawn from ``rng``."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["u", "v", "c", repr(round(rng.uniform(-2.0, 2.0), 3))])
+    kind = rng.choice(["add", "sub", "mul", "div", "pow", "neg", "sin", "cos", "exp", "log", "sqrt"])
+    a = _random_tree_text(rng, depth - 1)
+    if kind in ("add", "sub", "mul", "div"):
+        b = _random_tree_text(rng, depth - 1)
+        return f"({a}){'+-*/'[('add', 'sub', 'mul', 'div').index(kind)]}({b})"
+    if kind == "pow":
+        return f"({a})^{rng.choice([-3, -2, -1, 0, 1, 2, 3, 5])}"
+    if kind == "neg":
+        return f"-({a})"
+    if kind in ("log", "sqrt"):
+        return f"{kind}(1.5 + ({a})^2)"
+    return f"{kind}({a})"
+
+
+def _germ_texts(rng) -> list[str]:
+    """A cross cap germ moved by a rigid motion and a source change with a
+    sine, cosine or exponential term, as text about a random base point."""
+    u0, v0 = (round(rng.uniform(-1.0, 1.0), 3) for _ in range(2))
+    du, dv = f"(u - {u0!r})", f"(v - {v0!r})"
+    c = [round(rng.uniform(-0.5, 0.5), 3) for _ in range(8)]
+    x = f"({c[0] + 1.0!r}*{du} + {c[1]!r}*{dv} + {c[2]!r}*{du}*{dv} + {c[3]!r}*(sin({dv}) - {dv}))"
+    y = f"({c[4]!r}*{du} + {c[5] + 1.0!r}*{dv} + {c[6]!r}*(1 - cos({du})) + {c[7]!r}*(exp({dv}) - 1 - {dv}))"
+    g = [x, f"{x}*{y} + 0.7*{y}^3 + 0.2*{y}^5", f"{y}^2 + 0.3*{x}^2 - 0.4*{x}*{y}^2 + 0.1*{y}^4"]
+    r = [round(rng.uniform(-1.0, 1.0), 3) for _ in range(9)]
+    return [f"{r[3 * i]!r} + {r[3 * i + 1]!r}*{g[i]} - {r[3 * i + 2]!r}*{g[(i + 1) % 3]}" for i in range(3)]
+
+
+def _pin_corpus():
+    """(components, parameters, base, order) for every expansion pinned by
+    ``test_eval_map_jet_matches_its_pinned_digest``."""
+    for path in sorted(_FIXTURES.glob("*.json")):
+        request = json.loads(path.read_text())
+        if path.name == "bad_parse.json":
+            continue
+        params = {k: x for k, x in request.get("parameters", {}).items() if not isinstance(x, list)}
+        for base in _PIN_BASES:
+            for order in range(13):
+                yield request["components"], params, base, order
+    rng = random.Random(20260814)
+    for _ in range(60):
+        texts = [_random_tree_text(rng, 4) for _ in range(3)]
+        for base in _PIN_BASES[::2]:
+            for order in (-1, 0, 1, 3, 6):
+                yield texts, {"c": 0.75}, base, order
+    for _ in range(12):
+        texts = _germ_texts(rng)
+        for order in (6, 9, 12):
+            yield texts, {}, (0.125, -0.375), order
+    for texts in _ERROR_MAPS:
+        for base in _ERROR_BASES:
+            for order in range(4):
+                yield texts, {}, base, order
+    for value in (math.inf, -math.inf, math.nan, 1e300):
+        yield ["u", "v", "c*u^2"], {"c": value}, (0.5, 0.5), 3
+
+
+PINNED_CASES, PINNED_ERRORS = 2275, 636
+PINNED_DIGEST = "c313006ab8fd0539016f187938d9a61edfeccc9d3b9378b7055550c8892c5440"
+
+
+def test_eval_map_jet_matches_its_pinned_digest():
+    # sha256 over the coefficients, base values, and error types and
+    # messages of every expansion of the corpus, as computed by the
+    # Jet2 expression walk that eval_map_jet used before it ran as a batch
+    # of one base point; a digest is bit for bit or not at all
+    digest = hashlib.sha256()
+    cases = errors = 0
+    for texts, params, base, order in _pin_corpus():
+        defn = parse_map_definition(texts, params)
+        digest.update(repr((texts, sorted(params.items()), [float(x).hex() for x in base], order)).encode())
+        try:
+            jet = eval_map_jet(defn, base, order)
+        except Exception as exc:  # noqa: BLE001 -- the type is part of the digest
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            errors += 1
+        else:
+            digest.update(np.array(jet.base_value).tobytes())
+            for comp in jet.components:
+                digest.update(comp.coeffs.tobytes())
+        cases += 1
+    assert (cases, errors) == (PINNED_CASES, PINNED_ERRORS)
+    assert digest.hexdigest() == PINNED_DIGEST
 
 
 # -- properties over generated trees ---------------------------------------------------

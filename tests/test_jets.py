@@ -18,12 +18,13 @@ from crosscap.errors import (
     JetDomainError,
     NotInvertibleError,
 )
+from crosscap.expressions import eval_map_jet, parse_map_definition
 from crosscap.jets import (
     Jet1,
     Jet2,
     MapJet3,
+    _univariate_series,
     diffeo_invert,
-    elementary,
     mul_coeffs,
 )
 
@@ -370,19 +371,27 @@ def test_invert_rejects_singular_linear_part():
 def test_invert_rejects_order_zero():
     # an order-0 jet has no linear part to invert
     with pytest.raises(ContractViolationError, match="order >= 1"):
-        diffeo_invert(Jet2.zeros(0), Jet2.zeros(0))
+        diffeo_invert(Jet2.constant(0.0, 0), Jet2.constant(0.0, 0))
 
 
-# -- elementary functions ---------------------------------------------------------
+# -- elementary functions, through the map evaluator ----------------------------
+
+
+def _function_jet(text: str, order: int, base=(0.0, 0.0)) -> Jet2:
+    """The expansion of one expression about ``base``, constant term kept."""
+    jet = eval_map_jet(parse_map_definition([text, "u", "v"]), base, order)
+    coeffs = jet.components[0].coeffs.copy()
+    coeffs[0, 0] = jet.base_value[0]
+    return Jet2(order, coeffs)
 
 
 def test_elementary_exp_series():
-    got = elementary("exp", Jet2.var_u(2), 0.0)
+    got = _function_jet("exp(u)", 2)
     assert got.terms() == {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 0.5}
 
 
 def test_elementary_sin_series():
-    got = elementary("sin", Jet2.var_v(3), 0.0)
+    got = _function_jet("sin(v)", 3)
     assert got[0, 1] == pytest.approx(1.0)
     assert got[0, 3] == pytest.approx(-1.0 / 6.0)
     assert got[0, 0] == 0.0
@@ -391,8 +400,7 @@ def test_elementary_sin_series():
 
 
 def test_elementary_log_at_one_of_uv():
-    inner = Jet2.from_terms(4, {(1, 1): 1.0})
-    got = elementary("log", inner, 1.0)
+    got = _function_jet("log(1 + u*v)", 4)
     assert got[1, 1] == pytest.approx(1.0)
     assert got[2, 2] == pytest.approx(-0.5)
     assert got[0, 0] == 0.0
@@ -412,11 +420,15 @@ def test_elementary_against_sympy_series():
     for tag, func, center in cases:
         series = sympy.series(func(center + t), t, 0, order + 1).removeO()
         expected = [float(series.coeff(t, k)) for k in range(order + 1)]
-        inner = Jet2.var_v(order).scale(rng.uniform(0.5, 1.0))
-        got = elementary(tag, inner, center)
-        lam = float(inner[0, 1])
-        for k in range(order + 1):
-            assert got[0, k] == pytest.approx(expected[k] * lam**k, abs=1e-12)
+        lam = rng.uniform(0.5, 1.0)
+        # the centre as the base point of v, and as a constant beside u
+        for text, base in [
+            (f"{tag}({lam!r}*v)", (0.0, center / lam)),
+            (f"{tag}(({center!r}) + {lam!r}*v)", (0.5, 0.0)),
+        ]:
+            got = _function_jet(text, order, base)
+            for k in range(order + 1):
+                assert got[0, k] == pytest.approx(expected[k] * lam**k, abs=1e-12)
 
 
 def test_elementary_matches_finite_differences():
@@ -434,9 +446,9 @@ def test_elementary_matches_finite_differences():
         ("sqrt", math.sqrt, 1.5),
     ]
     for tag, func, center in cases:
-        cu, cv, cuu = rng.uniform(-0.8, 0.8, 3)
-        inner = Jet2.from_terms(4, {(1, 0): cu, (0, 1): cv, (2, 0): cuu})
-        jet = elementary(tag, inner, center)
+        cu, cv, cuu = rng.uniform(-0.8, 0.8, 3).tolist()
+        text = f"{tag}(({center!r}) + ({cu!r})*u + ({cv!r})*v + ({cuu!r})*u^2)"
+        jet = _function_jet(text, 4)
 
         def point(x, y):
             return func(center + cu * x + cv * y + cuu * x * x)
@@ -452,21 +464,30 @@ def test_elementary_matches_finite_differences():
 
 
 def test_elementary_domain_errors():
-    centred = Jet2.var_u(3)
-    with pytest.raises(JetDomainError):
-        elementary("log", centred, 0.0)
-    with pytest.raises(JetDomainError):
-        elementary("sqrt", centred, -1.0)
-    with pytest.raises(JetDomainError):
-        elementary("pow_int", centred, 0.0, exponent=-1)
-    shifted = centred + Jet2.constant(1.0, 3)
-    with pytest.raises(JetDomainError):
-        elementary("exp", shifted, 0.0)
+    for text, base, message in [
+        ("log(u)", (0.0, 0.0), "log requires a positive base value, got 0.0"),
+        ("sqrt(u - 1)", (0.0, 0.0), "sqrt requires a positive base value, got -1.0"),
+        ("u^-1", (0.0, 0.0), "negative power of a value vanishing at the base point"),
+        ("1/(u - v)", (0.5, 0.5), "negative power of a value vanishing at the base point"),
+        ("exp(u)", (800.0, 0.0), "math range error"),
+        ("log(u)", (1e-300, 0.0), "log series about the base value 1e-300 is beyond float range"),
+        ("sqrt(u)", (1e-300, 0.0), "jet coefficients beyond float range"),
+    ]:
+        with pytest.raises(JetDomainError) as info:
+            _function_jet(text, 3, base)
+        assert str(info.value) == f"component 1: {message}"
 
 
 def test_pow_int_at_zero_center_is_monomial_power():
-    got = elementary("pow_int", Jet2.var_v(6), 0.0, exponent=3)
+    # a non-negative power is a product of jets, not a series
+    got = _function_jet("v^3", 6)
     assert got.terms() == {(0, 3): 1.0}
+    assert _function_jet("(-v)^3", 6).terms() == {(0, 3): -1.0}
+
+
+def test_pow_int_series_needs_an_exponent():
+    with pytest.raises(ContractViolationError, match="integer exponent"):
+        _univariate_series("pow_int", 1.0, 3, None)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -513,7 +534,7 @@ def test_mapjet_derivative_reads_use_taylor_convention():
 def test_mapjet_requires_centred_components():
     with pytest.raises(ContractViolationError):
         MapJet3(
-            [Jet2.constant(1.0, 2), Jet2.zeros(2), Jet2.zeros(2)],
+            [Jet2.constant(1.0, 2), Jet2.constant(0.0, 2), Jet2.constant(0.0, 2)],
             (0.0, 0.0),
             (0.0, 0.0, 0.0),
         )

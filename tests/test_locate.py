@@ -188,6 +188,15 @@ def test_the_domain_search_loses_some_seeds_and_keeps_others():
     assert 0 < failed.sum() < len(seeds)
 
 
+@pytest.mark.parametrize(
+    "box",
+    [(-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, -1e308, 1e308), (1e308, 1.7e308, -1.0, 1.0)],
+)
+def test_a_box_whose_width_or_midpoint_overflows_is_refused(box):
+    with pytest.raises(ContractViolationError, match="within float range"):
+        find_singular_points(parse_map_definition(["v", "v^2", "v^3"]), box, 3)
+
+
 @pytest.mark.parametrize("block", [7, locate.SEED_BLOCK])
 def test_seed_blocks_do_not_change_the_candidates(monkeypatch, block):
     monkeypatch.setattr(locate, "SEED_BLOCK", block)
@@ -380,7 +389,7 @@ def test_certify_regular_point_rejected():
 
 
 def test_certify_rank_zero_rejected():
-    comps = [Jet2.from_terms(3, {(2, 0): 1.0}), Jet2.zeros(3), Jet2.zeros(3)]
+    comps = [Jet2.from_terms(3, {(2, 0): 1.0}), Jet2.from_terms(3, {}), Jet2.from_terms(3, {})]
     jet = MapJet3(comps, (0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(RankZeroError):
         certify_jet(jet)

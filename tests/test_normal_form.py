@@ -123,7 +123,7 @@ def test_frame_rejects_degenerate_second_order_data():
     comps = [
         Jet2.from_terms(3, {(1, 0): 1.0, (0, 2): 1.0}),
         Jet2.from_terms(3, {(1, 1): 1.0}),
-        Jet2.zeros(3),
+        Jet2.from_terms(3, {}),
     ]
     jet = MapJet3(comps, (0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises((DegenerateFrameError, WhitneyFailError)):
