@@ -122,12 +122,15 @@ class _DoubledSystem:
     def __init__(self, defn: MapDefinition, parameters: dict[str, float] | None):
         self.jets = stage_map_jet1(defn, parameters)
 
-    def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        pairs = list(zip(self.jets((x[0], x[1])), self.jets((x[2], x[3]))))
+    def residual(self, x) -> tuple[tuple, tuple, tuple]:
+        """At the state ``x``, four floats: f(q) - f(q'), the rows of the
+        Jacobian, and the image 0.5 (f(q) + f(q')), all in floats."""
+        (a, a_u, a_v), (b, b_u, b_v), (c, c_u, c_v) = self.jets((x[0], x[1]))
+        (p, p_u, p_v), (q, q_u, q_v), (r, r_u, r_v) = self.jets((x[2], x[3]))
         return (
-            np.array([a[0] - b[0] for a, b in pairs]),
-            np.array([(a[1], a[2], -b[1], -b[2]) for a, b in pairs]),
-            np.array([0.5 * (a[0] + b[0]) for a, b in pairs]),
+            (a - p, b - q, c - r),
+            ((a_u, a_v, -p_u, -p_v), (b_u, b_v, -q_u, -q_v), (c_u, c_v, -r_u, -r_v)),
+            (0.5 * (a + p), 0.5 * (b + q), 0.5 * (c + r)),
         )
 
 
@@ -140,39 +143,43 @@ def _tangent(jac: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _correct(
-    system: _DoubledSystem, x: np.ndarray, tangent: np.ndarray | None
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float] | None, float]:
+    system: _DoubledSystem, x, tangent: np.ndarray | None
+) -> tuple[tuple[tuple, np.ndarray, tuple, float] | None, float]:
     """Newton iterations driving |f(q) - f(q')| below the corrector tol.
 
     With a tangent the step solves the square bordered system (moves in the
     hyperplane normal to the tangent); without one it takes the least-norm
-    step.  Returns (state, jacobian, image, |f(q) - f(q')|) or None, and
-    the smallest max-norm residual seen (inf when none was finite).
+    step.  The state is four floats, and each step adds numpy's solution to
+    them in floats, as numpy would add the arrays.  Returns (state,
+    jacobian, image, |f(q) - f(q')|) or None, and the smallest max-norm
+    residual seen (inf when none was finite).
     """
     best = math.inf
+    border = None if tangent is None else tuple(tangent.tolist())
     for _ in range(25):
         try:
             r, jac, image = system.residual(x)
         except JetDomainError:
             return None, best
-        rn = float(np.max(np.abs(r)))
-        if not np.isfinite(rn):
+        # the jets are finite, so a difference is finite or +-inf, never nan
+        if not all(map(math.isfinite, r)):
             return None, best
+        rn = max(map(abs, r))
         best = min(best, rn)
         if rn <= _CORRECTOR_TOL:
-            return (x, jac, image, _norm(r)), best
+            return (tuple(x), np.array(jac), image, _norm(np.array(r))), best
+        rhs = [-t for t in r]
         try:
-            if tangent is None:
-                delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            if border is None:
+                delta, *_ = np.linalg.lstsq(np.array(jac), np.array(rhs), rcond=None)
             else:
-                bordered = np.vstack([jac, tangent])
-                rhs = np.concatenate([-r, [0.0]])
-                delta = np.linalg.solve(bordered, rhs)
+                delta = np.linalg.solve(np.array([*jac, border]), np.array([*rhs, 0.0]))
         except np.linalg.LinAlgError:
             return None, best
-        if not np.isfinite(delta).all():
+        delta = delta.tolist()
+        if not all(map(math.isfinite, delta)):
             return None, best
-        x = x + delta
+        x = [a + b for a, b in zip(x, delta)]
     return None, best
 
 
@@ -200,7 +207,7 @@ def _trace_direction(
     direction: np.ndarray,
     budget: float,
     step: float,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+) -> list[tuple[np.ndarray, np.ndarray, tuple, float]]:
     """Continuation from ``start`` along ``direction`` until the arc budget,
     the diagonal guard, or a domain exit.  Returns the corrector's
     (state, jacobian, image, residual) at every accepted state, the
@@ -210,7 +217,7 @@ def _trace_direction(
     diagonal than step/4; a healthy crossing jumps over that zone, so the
     trace normally passes straight through the singular point.
     """
-    samples: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
+    samples: list[tuple[np.ndarray, np.ndarray, tuple, float]] = []
     x = start
     tangent = _tangent(start_jac, direction)
     h = step
@@ -218,11 +225,14 @@ def _trace_direction(
     min_gap = step / 4.0
     while arc < budget:
         advanced = False
+        here, t = x.tolist(), tangent.tolist()
         while h >= step / 64.0:
-            predicted = x + h * tangent
+            # x + h * tangent in floats, as numpy forms it
+            predicted = [a + h * b for a, b in zip(here, t)]
             corrected, _ = _correct(system, predicted, tangent)
             if corrected is not None:
-                x_new, jac_new, image_new, residual_new = corrected
+                state, jac_new, image_new, residual_new = corrected
+                x_new = np.array(state)
                 moved = _norm(x_new - x)
                 gap = _gap(x_new)
                 if gap < min_gap:
@@ -233,7 +243,7 @@ def _trace_direction(
                 arc += moved
                 x = x_new
                 tangent = _tangent(jac_new, tangent)
-                samples.append((x.copy(), jac_new, image_new, residual_new))
+                samples.append((x, jac_new, image_new, residual_new))
                 h = min(step, 2.0 * h)
                 advanced = True
                 break
@@ -272,13 +282,14 @@ def trace_double_points(
         raise ContractViolationError("arc_span and step must be positive")
     system = _DoubledSystem(defn, parameters)
     guess = _seed_state(cert, arc_span, step)
-    seeded, best = _correct(system, guess, None)
+    seeded, best = _correct(system, guess.tolist(), None)
     if seeded is None:
         raise SeedFailureError(
             "corrector failed to converge on the double-point seed",
             best_residual=best,
         )
-    x0, jac0, image0, residual0 = seeded
+    state0, jac0, image0, residual0 = seeded
+    x0 = np.array(state0)
     offset0 = _gap(x0) / math.sqrt(2.0)
     if _gap(x0) < step / 4.0:
         raise SeedFailureError(

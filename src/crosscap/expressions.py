@@ -357,7 +357,7 @@ _BINARY = {
 _POINT_FUNCTIONS = {name: getattr(math, name) for name in _FUNCTIONS}
 
 
-# for ``_JetBatch``, whose ``series`` method expands the functions
+# for ``_JetBatch`` and ``_Staged``, whose ``series`` methods expand the functions
 _METHOD_FUNCTIONS = {name: operator.methodcaller("series", name) for name in _FUNCTIONS}
 
 
@@ -543,13 +543,17 @@ def parse_map_definition(
     return MapDefinition(tuple(components), parameters or {})
 
 
+def _in_component(index: int, exc: JetDomainError) -> JetDomainError:
+    return JetDomainError(f"component {index + 1}: {exc}")
+
+
 def _by_component(components, evaluate) -> list:
     out = []
     for index, comp in enumerate(components):
         try:
             out.append(evaluate(comp))
         except JetDomainError as exc:
-            raise JetDomainError(f"component {index + 1}: {exc}") from None
+            raise _in_component(index, exc) from None
     return out
 
 
@@ -670,10 +674,16 @@ def eval_map_points(
 
 
 # -- order-1 jets staged for the tracer ----------------------------------------
-# A jet is (value, du, dv).  Each function repeats the float operations of
-# ``_JetBatch`` at order 1 in the same order, so every entry has the bits of
-# the coefficient from ``eval_map_jet``, signed zeros included, and
+# A jet is (value, du, dv).  Staging walks the tree once and writes the map as
+# one straight-line Python function of a base point.  Each operation becomes
+# lines that make the float operations of ``_JetBatch`` at order 1 in the
+# same order, each followed by its finiteness check, so every entry has the
+# bits of the coefficient from ``eval_map_jet``, signed zeros included, and
 # JetDomainError is raised, with the same message, wherever it raises it.
+# An entry is a name the function reads (a local, or a constant of its
+# namespace), or a float known while staging (the 1.0 and 0.0 partials of u
+# and v); an operation whose operands are all known floats is made while
+# staging.
 
 
 def _checked(value: float, du: float, dv: float) -> tuple[float, float, float]:
@@ -682,25 +692,8 @@ def _checked(value: float, du: float, dv: float) -> tuple[float, float, float]:
     raise JetDomainError(_BEYOND_RANGE)
 
 
-def _product(a: tuple, b: tuple) -> tuple[float, float, float]:
-    """In ``_shift_add``'s loop order, from +0.0, skipping zero coefficients of ``a``."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    value = du = dv = 0.0
-    if a0 != 0.0:
-        value += a0 * b0
-        du += a0 * b1
-        dv += a0 * b2
-    if a2 != 0.0:
-        dv += a2 * b0
-    if a1 != 0.0:
-        du += a1 * b0
-    return _checked(value, du, dv)
-
-
-def _series(jet: tuple, tag: str, exponent: int | None = None) -> tuple:
-    """``_JetBatch.series`` at order 1, for ``jet = value + rest``."""
-    center, du, dv = jet
+def _series(center: float, du: float, dv: float, tag: str, exponent: int | None):
+    """``_JetBatch.series`` at order 1, for the jet ``(center, du, dv)``."""
     try:
         s0, s1 = _univariate_series(tag, center, 1, exponent)
     except (ArithmeticError, ValueError) as exc:
@@ -712,64 +705,153 @@ def _series(jet: tuple, tag: str, exponent: int | None = None) -> tuple:
     return _checked(s0 + term[0], 0.0 + term[1], 0.0 + term[2])
 
 
-def _power(jet: tuple, m: int) -> tuple:
-    if m < 0:
-        return _series(jet, "pow_int", m)
-    acc = (1.0, 0.0, 0.0)
-    for _ in range(m):
-        acc = _product(acc, jet)
-    return acc
+def _text(entry) -> str:
+    return repr(entry) if isinstance(entry, float) else entry
 
 
-def _staged_binary(kernel):
-    """The operator that stages ``kernel`` on the jets of both operands."""
-    return lambda self, other: _Staged(
-        lambda u, v, f=self.call, g=other.call: kernel(f(u, v), g(u, v))
-    )
+class _Code:
+    """The function being staged: its lines, and the namespace it runs in,
+    which holds every constant and parameter value of the tree, so that no
+    number of the map enters the source."""
 
+    def __init__(self):
+        self.lines: list[str] = []
+        self.namespace = {
+            "JetDomainError": JetDomainError,
+            "_BEYOND_RANGE": _BEYOND_RANGE,
+            "_in_component": _in_component,
+            "_lookup": _lookup,
+            "_series": _series,
+            "isfinite": isfinite,
+        }
+        self.names = 0
 
-def _staged_unary(kernel):
-    """The method that stages ``kernel`` on the jet of ``self`` and its arguments."""
-    return lambda self, *args: _Staged(
-        lambda u, v, f=self.call: kernel(f(u, v), *args)
-    )
+    def name(self) -> str:
+        self.names += 1
+        return f"t{self.names}"
+
+    def bind(self, value) -> str:
+        """A name of the namespace that holds ``value``."""
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def assign(self, expression: str) -> str:
+        name = self.name()
+        self.lines.append(f"{name} = {expression}")
+        return name
+
+    def check(self, entries) -> None:
+        """The lines that raise as ``_checked`` does unless each entry is finite."""
+        if not all(isfinite(e) for e in entries if isinstance(e, float)):
+            self.lines.append("raise JetDomainError(_BEYOND_RANGE)")
+            return
+        names = [e for e in entries if isinstance(e, str)]
+        if names:
+            self.lines.append(f"if not ({' and '.join(f'isfinite({n})' for n in names)}):")
+            self.lines.append("    raise JetDomainError(_BEYOND_RANGE)")
+
+    def term(self, acc, coef, b):
+        """``acc + coef * b`` if ``coef != 0.0``, else ``acc``: one step of
+        ``_shift_add``'s loop."""
+        if not isinstance(coef, str):
+            if coef == 0.0:
+                return acc
+            if isinstance(acc, float) and isinstance(b, float):
+                return acc + coef * b
+            return self.assign(f"{_text(acc)} + {coef!r} * {_text(b)}")
+        acc = _text(acc)
+        return self.assign(f"{acc} + {coef} * {_text(b)} if {coef} != 0.0 else {acc}")
+
+    def constant(self, value) -> "_Staged":
+        if isinstance(value, _Staged):  # an unbound parameter
+            return value
+        if not isfinite(value):
+            self.lines.append("raise JetDomainError(_BEYOND_RANGE)")
+        return _Staged(self, (self.bind(value), 0.0, 0.0))
 
 
 class _Staged:
-    """An order-1 jet to compute at many base points: ``call(u, v)`` gives it
-    at ``(u, v)``.  Staging walks the tree once; each node becomes a closure
-    that calls its children, one frame per operator as the walk does, then
-    applies its operation, so a call raises where and as the walk would."""
+    """An order-1 jet of the function being staged; each operation writes
+    the lines that compute its entries."""
 
-    __slots__ = ("call",)
+    __slots__ = ("code", "entries")
 
-    def __init__(self, call):
-        self.call = call
+    def __init__(self, code: _Code, entries: tuple):
+        self.code = code
+        self.entries = entries
 
-    @classmethod
-    def constant(cls, value) -> "_Staged":
-        if isinstance(value, _Staged):  # an unbound parameter
-            return value
-        jet = (value, 0.0, 0.0)
-        return cls(lambda u, v: jet) if isfinite(value) else cls(lambda u, v: _checked(*jet))
+    def _entrywise(self, other: "_Staged", op, sign: str) -> "_Staged":
+        out = [
+            op(a, b)
+            if isinstance(a, float) and isinstance(b, float)
+            else self.code.assign(f"{_text(a)} {sign} {_text(b)}")
+            for a, b in zip(self.entries, other.entries)
+        ]
+        self.code.check(out)
+        return _Staged(self.code, tuple(out))
 
-    __add__ = _staged_binary(lambda a, b: _checked(a[0] + b[0], a[1] + b[1], a[2] + b[2]))
-    __sub__ = _staged_binary(lambda a, b: _checked(a[0] - b[0], a[1] - b[1], a[2] - b[2]))
-    __mul__ = _staged_binary(_product)
-    __truediv__ = _staged_binary(lambda a, b: _product(a, _series(b, "pow_int", -1)))
-    __neg__ = _staged_unary(lambda a: (-a[0], -a[1], -a[2]))  # finite, as a is
-    __pow__ = _staged_unary(_power)
-    series = _staged_unary(_series)
+    def __add__(self, other: "_Staged") -> "_Staged":
+        return self._entrywise(other, operator.add, "+")
 
+    def __sub__(self, other: "_Staged") -> "_Staged":
+        return self._entrywise(other, operator.sub, "-")
 
-_STAGED_FUNCTIONS = {name: operator.methodcaller("series", name) for name in _FUNCTIONS}
+    def __neg__(self) -> "_Staged":  # finite, as self is
+        entries = [-e if isinstance(e, float) else self.code.assign(f"-{e}") for e in self.entries]
+        return _Staged(self.code, tuple(entries))
+
+    def __mul__(self, other: "_Staged") -> "_Staged":
+        """In ``_shift_add``'s loop order, from 0.0: the terms of a0, a2, then a1."""
+        (a0, a1, a2), (b0, b1, b2) = self.entries, other.entries
+        term = self.code.term
+        value, du, dv = term(0.0, a0, b0), term(0.0, a0, b1), term(0.0, a0, b2)
+        dv = term(dv, a2, b0)
+        du = term(du, a1, b0)
+        self.code.check([value, du, dv])
+        return _Staged(self.code, (value, du, dv))
+
+    def __truediv__(self, other: "_Staged") -> "_Staged":
+        return self * other.series("pow_int", -1)
+
+    def __pow__(self, m: int) -> "_Staged":
+        """``constant(1.0)`` times ``self``, m times over; all but the
+        first product are one emitted loop."""
+        if m < 0:
+            return self.series("pow_int", m)
+        code = self.code
+        acc = _Staged(code, (1.0, 0.0, 0.0))
+        if m == 0:
+            return acc
+        acc = acc * self
+        if m == 1:
+            return acc
+        names = [code.assign(_text(entry)) for entry in acc.entries]
+        code.lines.append(f"for _ in range({code.bind(m - 1)}):")
+        start = len(code.lines)
+        step = _Staged(code, tuple(names)) * self
+        code.lines.append(f"{', '.join(names)} = {', '.join(map(_text, step.entries))}")
+        code.lines[start:] = [f"    {line}" for line in code.lines[start:]]
+        return _Staged(code, tuple(names))
+
+    def series(self, tag: str, exponent: int | None = None) -> "_Staged":
+        code = self.code
+        out = [code.name() for _ in range(3)]
+        args = [*map(_text, self.entries), code.bind(tag), code.bind(exponent)]
+        code.lines.append(f"{', '.join(out)} = _series({', '.join(args)})")
+        return _Staged(code, tuple(out))
 
 
 class _StagedParameters(dict):
-    """A missing name stages a jet whose call raises UnboundParameterError."""
+    """A missing name stages a line that raises UnboundParameterError."""
+
+    def __init__(self, code: _Code, params: dict[str, float]):
+        super().__init__(params)
+        self.code = code
 
     def __missing__(self, name: str) -> _Staged:
-        return _Staged(lambda u, v: _lookup(name, {}))
+        self.code.lines.append(f"_lookup({self.code.bind(name)}, {{}})")
+        return _Staged(self.code, (0.0, 0.0, 0.0))  # never reached
 
 
 def stage_map_jet1(defn: MapDefinition, parameters: dict[str, float] | None = None):
@@ -777,16 +859,22 @@ def stage_map_jet1(defn: MapDefinition, parameters: dict[str, float] | None = No
     function of a base point that gives each component's (value, du, dv)
     there, bit for bit the coefficients of 1, u and v of
     ``eval_map_jet(defn, base, 1, parameters)``, with the same errors."""
-    params = _StagedParameters(defn.bound_parameters(parameters))
-    leaves = (_Staged(lambda u, v: (u, 1.0, 0.0)), _Staged(lambda u, v: (v, 0.0, 1.0)))
-    calls = [
-        _evaluate(comp, leaves, _Staged.constant, _STAGED_FUNCTIONS, params).call
-        for comp in defn.components
-    ]
-
-    def jets(base: tuple[float, float]) -> list[tuple[float, float, float]]:
-        # each variable plus its constant, so a base of -0.0 gives +0.0
-        u, v = _checked(float(base[0]), float(base[1]), 0.0)[:2]
-        return _by_component(calls, lambda call: call(0.0 + u, 0.0 + v))
-
-    return jets
+    code = _Code()
+    params = _StagedParameters(code, defn.bound_parameters(parameters))
+    leaves = (_Staged(code, ("u", 1.0, 0.0)), _Staged(code, ("v", 0.0, 1.0)))
+    # each variable plus its constant, so a base of -0.0 gives +0.0
+    code.lines = ["u = float(base[0])", "v = float(base[1])"]
+    code.check(["u", "v"])
+    body = [*code.lines, "u = 0.0 + u", "v = 0.0 + v"]
+    results = []
+    for index, comp in enumerate(defn.components):
+        code.lines = []
+        jet = _evaluate(comp, leaves, code.constant, _METHOD_FUNCTIONS, params)
+        if code.lines:
+            body += ["try:", *(f"    {line}" for line in code.lines)]
+            body += ["except JetDomainError as exc:", f"    raise _in_component({index}, exc) from None"]
+        results.append(f"({', '.join(map(_text, jet.entries))})")
+    body.append(f"return [{', '.join(results)}]")
+    source = "def jets(base):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, "<staged map>", "exec"), code.namespace)
+    return code.namespace["jets"]

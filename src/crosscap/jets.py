@@ -381,18 +381,14 @@ def _univariate_series(tag: str, center: float, order: int, exponent: int | None
                 out.append((-1.0) ** (k + 1) / (k * center**k))
         except (ZeroDivisionError, OverflowError):  # center**k beyond float range
             out.append(math.inf)
-        if not all(math.isfinite(c) for c in out):
-            raise JetDomainError(
-                f"log series about the base value {center} is beyond float range"
-            )
-        return out
+        return _in_range("log", center, out)
     if tag == "sqrt":
         if center <= 0.0:
             raise JetDomainError(f"sqrt requires a positive base value, got {center}")
         out = [math.sqrt(center)]
         for k in range(1, order + 1):
             out.append(out[-1] * (0.5 - (k - 1)) / (k * center))
-        return out
+        return _in_range("sqrt", center, out)
     if tag == "pow_int":
         if exponent is None:
             raise ContractViolationError("pow_int requires an integer exponent")
@@ -401,13 +397,25 @@ def _univariate_series(tag: str, center: float, order: int, exponent: int | None
         m = int(exponent)
         if center == 0.0:
             raise JetDomainError("negative power of a value vanishing at the base point")
-        out = [center**m]
+        try:
+            out = [center**m]
+        except OverflowError:  # center**m beyond float range
+            return _in_range("negative power", center, [math.inf])
         for k in range(1, order + 1):
             out.append(out[-1] * (m - (k - 1)) / (k * center))
-        return out
+        return _in_range("negative power", center, out)
     raise ContractViolationError(
         f"unknown function tag {tag!r}; expected one of {_SERIES_FUNCS}"
     )
+
+
+def _in_range(name: str, center: float, out: list[float]) -> list[float]:
+    """``out``, the series of ``name`` about ``center``, if it is finite."""
+    if not all(math.isfinite(c) for c in out):
+        raise JetDomainError(
+            f"{name} series about the base value {center} is beyond float range"
+        )
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ locus u = -v^2.
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,90 @@ def test_transversality_names_the_first_singular_sheet():
 def test_transversality_of_an_empty_curve_is_empty():
     angles = transversality_check(DoublePointCurve(samples=()))
     assert angles.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the tracer's bits, pinned
+
+
+def _seeded_map(rng):
+    """A cross cap at a random point, with sin, cos, exp, log and sqrt terms,
+    a quotient and negative powers: a normal-form-like germ in a source
+    change, mixed by a linear motion of the target."""
+    u0, v0 = (round(rng.uniform(-0.5, 0.5), 3) for _ in range(2))
+    du, dv = f"(u - {u0!r})", f"(v - {v0!r})"
+    c = [round(rng.uniform(-0.3, 0.3), 3) for _ in range(10)]
+    x = f"({c[0] + 1.0!r}*{du} + {c[1]!r}*{dv} + {c[2]!r}*sin({du}*{dv}) + {c[3]!r}*(exp({dv}^2) - 1))"
+    y = f"({c[4]!r}*{du} + {c[5] + 1.0!r}*{dv} + {c[6]!r}*(1 - cos({du})) + {c[7]!r}*{du}^2/(2 + {dv}))"
+    g = [
+        x,
+        f"{x}*{y} + {c[8]!r}*{y}^3 + 0.1*{y}^3*(1.5 + {x})^-2",
+        f"{y}^2 + {c[9]!r}*{x}^2*log(2 + {y}) + 0.2*{x}*{y}*sqrt(3 + {x})",
+    ]
+    r = [round(rng.uniform(0.5, 1.0), 3) * rng.choice([-1, 1]) for _ in range(9)]
+    texts = [f"{r[3 * i]!r} + {r[3 * i + 1]!r}*{g[i]} - {0.3 * r[3 * i + 2]!r}*{g[(i + 1) % 3]}" for i in range(3)]
+    return texts, (u0, v0)
+
+
+def _tracer_corpus():
+    """(components, parameters, point, order) of every map whose traces
+    ``test_traced_curves_keep_their_pinned_bits`` pins: each fixture with a
+    cross cap, each parameter value of the sweep, and seeded maps."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        request = json.loads(path.read_text())
+        if path.stem not in ("bad_parse", "immersion", "powers", "whitney_fail"):
+            params = request.get("parameters", {})
+            point = tuple(request.get("point", (0.0, 0.0)))
+            values = params.get("c", [None])
+            for c in values if isinstance(values, list) else [values]:
+                bound = {} if c is None else {"c": c}
+                yield request["components"], bound, point, request["order"]
+    rng = random.Random(RNG_SEED)
+    for _ in range(20):
+        texts, point = _seeded_map(rng)
+        yield texts, {}, point, 4
+    # the seed that leaves the domain, the step that collapses, the domain
+    # exit after progress
+    for components in (
+        ("u", "u*v", "v^2 + 0*log(0.0003 - v^2)"),
+        ("u", "u*v", "v^2 + 0*log(1 - 1000000000000*(v^2 - 0.0004))"),
+        ("u", "u*v", "v^2 + 0*log(0.01 - v^2)"),
+    ):
+        yield components, {}, (0.0, 0.0), 4
+
+
+def _hex(values) -> str:
+    return " ".join(float(x).hex() for x in np.ravel(values))
+
+
+PINNED_TRACES, PINNED_TRACE_ERRORS = 64, 6
+PINNED_TRACE_DIGEST = "9a39910b434d348266aab4a95ab040742ff17bd33a2192454e293cd164d99000"
+
+
+def test_traced_curves_keep_their_pinned_bits():
+    # sha256 over float.hex of s, q, q', image, residual and jacobian of
+    # every sample, and over the type and message of every error, for each
+    # map of the corpus traced at two (span, step) pairs
+    digest = hashlib.sha256()
+    traces = errors = 0
+    for components, params, point, order in _tracer_corpus():
+        defn = parse_map_definition(components)
+        for arc_span, step in ((0.4, 0.01), (0.1, 0.002)):
+            digest.update(repr((components, params, point, arc_span, step)).encode())
+            try:
+                cert = align_kernel(defn, point, order, DEFAULT_TOL_SINGULAR, params)
+                curve = trace_double_points(defn, cert, arc_span, step, params)
+            except Exception as exc:  # noqa: BLE001 -- the type is part of the digest
+                digest.update(f"{type(exc).__name__}: {exc}".encode())
+                errors += 1
+            else:
+                for sample in curve.samples:
+                    fields = (sample.s, sample.q, sample.q_prime, sample.image, sample.residual)
+                    digest.update(_hex(np.concatenate([np.ravel(f) for f in fields])).encode())
+                    digest.update(_hex(sample.jacobian).encode())
+            traces += 1
+    assert (traces, errors) == (PINNED_TRACES, PINNED_TRACE_ERRORS)
+    assert digest.hexdigest() == PINNED_TRACE_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -471,7 +471,9 @@ def test_elementary_domain_errors():
         ("1/(u - v)", (0.5, 0.5), "negative power of a value vanishing at the base point"),
         ("exp(u)", (800.0, 0.0), "math range error"),
         ("log(u)", (1e-300, 0.0), "log series about the base value 1e-300 is beyond float range"),
-        ("sqrt(u)", (1e-300, 0.0), "jet coefficients beyond float range"),
+        ("sqrt(u)", (1e-300, 0.0), "sqrt series about the base value 1e-300 is beyond float range"),
+        ("u^-2", (1e-300, 0.0), "negative power series about the base value 1e-300 is beyond float range"),
+        ("1/u", (-1e-200, 0.0), "negative power series about the base value -1e-200 is beyond float range"),
     ]:
         with pytest.raises(JetDomainError) as info:
             _function_jet(text, 3, base)
